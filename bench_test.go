@@ -376,9 +376,10 @@ func BenchmarkWriteGuidedReads(b *testing.B) {
 
 // BenchmarkWireEncodeDecode measures the remote-detection wire codec: how
 // fast an event batch is framed (AppendBatchFrame) and decoded back into a
-// pooled batch (ReadFrame + DecodeBatch). The encode and decode halves are
-// measured separately because they run on different machines in a real
-// deployment (client vs racedetectd); both report events/s and MB/s.
+// pooled columnar batch (ReadFrame + DecodeColumnarCols). The encode and
+// decode halves are measured separately because they run on different
+// machines in a real deployment (client vs racedetectd); both report
+// events/s and MB/s.
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	for _, n := range []int{64, event.DefaultBatchSize, 8192} {
 		batch := &event.Batch{Recs: make([]event.Rec, n)}
@@ -411,11 +412,11 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				got, err := wire.DecodeBatch(payload)
+				got, err := wire.DecodeColumnarCols(payload)
 				if err != nil {
 					b.Fatal(err)
 				}
-				event.PutBatch(got)
+				event.PutCols(got)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 		})

@@ -10,13 +10,11 @@
 //	racedetect -bench x264 -tool fasttrack -granularity word -v
 //	racedetect -bench ferret -workers 4   # sharded parallel detection
 //	racedetect -bench dedup -tool drd -mem-limit-mb 48
-//	racedetect -bench raytrace -sample   # LiteRace-style sampling front end (legacy)
 //	racedetect -bench facesim -budget 5%   # always-on mode: 5% sampling budget
 //	racedetect -bench histogram -elide   # drop exact in-epoch repeats at the source (lossless)
 //	racedetect -bench x264 -remote localhost:7474   # stream to racedetectd
-//	racedetect -bench x264 -remote localhost:7474 -codec v1   # force packed frames
 //	racedetect -bench canneal -cluster host1:7474,host2:7474   # sharded detection cluster
-//	racedetect -bench ferret -workers 4 -dispatch chan -batch-policy adaptive
+//	racedetect -bench ferret -workers 4 -batch-policy adaptive
 //	racedetect -bench ffmpeg -workers 4 -metrics-addr :7070 -stats-interval 1s
 //	racedetect -bench ferret -trace-out ferret-trace.json   # phase trace
 //	racedetect -bench dedup -memprofile dedup.pprof -memstats  # allocation forensics
@@ -33,9 +31,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/detector"
-	"repro/internal/sampling"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/race"
 	"repro/workloads"
@@ -80,7 +75,6 @@ func main() {
 		memMB   = flag.Int64("mem-limit-mb", 0, "memory budget for drd/inspector (0 = unlimited)")
 		timeout = flag.Duration("timeout", 0, "wall-time budget (0 = unlimited)")
 		verbose = flag.Bool("v", false, "print each race report")
-		sample  = flag.Bool("sample", false, "wrap FastTrack in a LiteRace-style sampler (legacy; see -budget)")
 		budget  = flag.String("budget", "",
 			"always-on sampling budget as a percentage or fraction (e.g. 5% or 0.05; 100% is a byte-identical pass-through): sample accesses down to this share of detection work, adapting to back-pressure on -workers/-remote/-cluster runs (fasttrack only)")
 		elide = flag.Bool("elide", false,
@@ -93,12 +87,8 @@ func main() {
 			"comma-separated racedetectd addresses: shard accesses across the fleet and merge their reports (fasttrack only)")
 		remoteSync = flag.Bool("remote-sync", false,
 			"with -remote: strict-ordering synchronous streaming (each batch acknowledged before the next)")
-		codec = flag.String("codec", "auto",
-			"with -remote: batch codec ceiling to negotiate (auto | v1 packed | v2 columnar)")
 		batchPolicy = flag.String("batch-policy", "fixed",
 			"transport batch sizing: fixed | adaptive (size batches from observed back-pressure)")
-		dispatch = flag.String("dispatch", "ring",
-			"with -workers: router-to-worker transport (ring = lock-free SPSC | chan = channel baseline)")
 		statsInterval = flag.Duration("stats-interval", 0,
 			"print a one-line progress report to stderr every interval (0 disables)")
 		metricsAddr = flag.String("metrics-addr", "",
@@ -138,8 +128,8 @@ func main() {
 		Seed: *seed, Timeout: *timeout, MemLimitBytes: *memMB << 20,
 		Workers: *workers, Remote: *remote, RemoteSync: *remoteSync,
 		StatsInterval: *statsInterval, MetricsAddr: *metricsAddr,
-		Dispatch: *dispatch, BatchPolicy: *batchPolicy,
-		Provenance: *provenance, TraceSample: *traceSample,
+		BatchPolicy: *batchPolicy,
+		Provenance:  *provenance, TraceSample: *traceSample,
 		Elide: *elide,
 	}
 	if *budget != "" {
@@ -152,9 +142,6 @@ func main() {
 	}
 	if *clusterList != "" {
 		opts.Cluster = strings.Split(*clusterList, ",")
-	}
-	if *remote != "" || *clusterList != "" || *codec != "auto" {
-		opts.Codec = *codec // Validate rejects a forced codec without -remote/-cluster
 	}
 	if *traceOut != "" || *spanOut != "" {
 		opts.Tracer = race.NewTracer()
@@ -199,11 +186,6 @@ func main() {
 	endBase := opts.Tracer.Span("baseline")
 	baseStats, baseTime := race.Baseline(prog, *seed)
 	endBase()
-	if *sample {
-		runSampled(prog, spec, *seed, baseTime)
-		memReport(*memprofile, *memstats)
-		return
-	}
 	rep, err := race.RunE(prog, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "racedetect:", err)
@@ -301,26 +283,6 @@ func main() {
 		}
 	}
 	memReport(*memprofile, *memstats)
-}
-
-// runSampled runs the benchmark under a LiteRace-style sampling wrapper
-// around byte-granularity FastTrack and reports the coverage trade-off.
-func runSampled(prog race.Program, spec workloads.Spec, seed int64, baseTime time.Duration) {
-	under := detector.New(detector.Config{Granularity: detector.Byte})
-	s := sampling.New(under, sampling.Options{})
-	start := time.Now()
-	sim.Run(prog, s, sim.Options{Seed: seed})
-	elapsed := time.Since(start)
-	forwarded, skipped := s.Counts()
-	fmt.Printf("sampling    LiteRace-style, effective rate %.2f%% (%d forwarded / %d skipped)\n",
-		100*s.Rate(), forwarded, skipped)
-	fmt.Printf("instrumented %v (slowdown %.2fx)\n",
-		elapsed.Round(time.Microsecond), float64(elapsed)/float64(baseTime))
-	fmt.Printf("races       %d of %d genuine races found at this rate\n",
-		len(under.Races()), spec.Races)
-	for _, r := range under.Races() {
-		fmt.Printf("  %v\n", r)
-	}
 }
 
 // writeTrace dumps the run's phase trace as Chrome trace_event JSON

@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -48,7 +47,6 @@ func main() {
 		readTimeout = flag.Duration("read-timeout", 30*time.Second, "per-frame read deadline")
 		window      = flag.Int("window", 64, "maximum granted in-flight batch window per session")
 		workersPer  = flag.Int("workers-per-session", 4, "detection shard cap per session")
-		maxCodec    = flag.String("max-codec", "v2", "highest batch codec to grant (v1 packed | v2 columnar)")
 		linger      = flag.Duration("session-linger", 10*time.Second, "how long a disconnected session stays resumable")
 		drainT      = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		quiet       = flag.Bool("q", false, "suppress per-session log lines")
@@ -81,17 +79,12 @@ func main() {
 		logger.Error(msg, args...)
 		os.Exit(1)
 	}
-	codecCeiling, ok := map[string]int{"v1": wire.CodecPacked, "v2": wire.CodecColumnar}[*maxCodec]
-	if !ok {
-		fatal("unknown -max-codec (want v1 or v2)", "max_codec", *maxCodec)
-	}
 	opts := server.Options{
 		MaxSessions:   *maxSessions,
 		MaxFrameBytes: uint32(*maxFrameKB) << 10,
 		ReadTimeout:   *readTimeout,
 		Window:        *window,
 		MaxWorkers:    *workersPer,
-		MaxCodec:      codecCeiling,
 		SessionLinger: *linger,
 		NoTrace:       *traceSample <= 0,
 		NoProvenance:  !*provGrant,
@@ -114,7 +107,7 @@ func main() {
 		"listen", l.Addr().String(), "http", *httpAddr,
 		"version", telemetry.BuildVersion(), "go", runtime.Version(), "pid", os.Getpid(),
 		"max_sessions", *maxSessions, "workers_per_session", *workersPer,
-		"max_frame_kb", *maxFrameKB, "window", *window, "max_codec", *maxCodec,
+		"max_frame_kb", *maxFrameKB, "window", *window,
 		"read_timeout", *readTimeout, "session_linger", *linger, "drain_timeout", *drainT,
 		"trace", !opts.NoTrace, "provenance", !opts.NoProvenance)
 

@@ -1,0 +1,240 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/detector"
+	"repro/internal/event"
+	"repro/internal/sim"
+	"repro/internal/vc"
+	"repro/internal/wire"
+	"repro/race"
+	"repro/workloads"
+)
+
+// collector records a comparable rendering of every event, Go-native
+// synchronization included.
+type collector struct{ out []string }
+
+func (c *collector) add(f string, a ...any) { c.out = append(c.out, fmt.Sprintf(f, a...)) }
+
+func (c *collector) Read(t vc.TID, a uint64, s uint32, p event.PC) {
+	c.add("r %d %x %d %d", t, a, s, p)
+}
+func (c *collector) Write(t vc.TID, a uint64, s uint32, p event.PC) {
+	c.add("w %d %x %d %d", t, a, s, p)
+}
+func (c *collector) Acquire(t vc.TID, l event.LockID)          { c.add("a %d %d", t, l) }
+func (c *collector) Release(t vc.TID, l event.LockID)          { c.add("rl %d %d", t, l) }
+func (c *collector) AcquireShared(t vc.TID, l event.LockID)    { c.add("as %d %d", t, l) }
+func (c *collector) ReleaseShared(t vc.TID, l event.LockID)    { c.add("rs %d %d", t, l) }
+func (c *collector) Fork(p, ch vc.TID)                         { c.add("f %d %d", p, ch) }
+func (c *collector) Join(p, ch vc.TID)                         { c.add("j %d %d", p, ch) }
+func (c *collector) BarrierArrive(t vc.TID, b event.BarrierID) { c.add("ba %d %d", t, b) }
+func (c *collector) BarrierDepart(t vc.TID, b event.BarrierID) { c.add("bd %d %d", t, b) }
+func (c *collector) Malloc(t vc.TID, a, s uint64)              { c.add("m %d %x %d", t, a, s) }
+func (c *collector) Free(t vc.TID, a, s uint64)                { c.add("fr %d %x %d", t, a, s) }
+func (c *collector) ChanSend(t vc.TID, ch event.ChanID, n int) { c.add("cs %d %d %d", t, ch, n) }
+func (c *collector) ChanRecv(t vc.TID, ch event.ChanID, n int) { c.add("cr %d %d %d", t, ch, n) }
+func (c *collector) ChanAck(t vc.TID, ch event.ChanID, n int)  { c.add("ca %d %d %d", t, ch, n) }
+func (c *collector) WGAdd(t vc.TID, wg event.WGID, d int)      { c.add("wa %d %d %d", t, wg, d) }
+func (c *collector) WGDone(t vc.TID, wg event.WGID)            { c.add("wd %d %d", t, wg) }
+func (c *collector) WGWait(t vc.TID, wg event.WGID)            { c.add("ww %d %d", t, wg) }
+
+// record returns the trace file of emit's events.
+func record(t *testing.T, emit func(event.Sink)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := recordTrace(&buf, emit); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRoundtripAllEventKinds replays every event kind, Go-native channel
+// and WaitGroup operations included, exactly as it was recorded.
+func TestRoundtripAllEventKinds(t *testing.T) {
+	emit := func(s event.Sink) {
+		g := s.(event.GoSink)
+		s.Write(0, 0x1000, 8, event.MakePC(event.ModuleApp, 3))
+		s.Read(1, 0x1008, 4, event.MakePC(event.ModuleLibc, 9))
+		s.Read(1, 0x10, 2, 0) // negative address delta
+		s.Acquire(0, 5)
+		s.Release(0, 5)
+		s.AcquireShared(1, 5)
+		s.ReleaseShared(1, 5)
+		s.Fork(0, 2)
+		s.Join(0, 2)
+		s.BarrierArrive(1, 7)
+		s.BarrierDepart(1, 7)
+		s.Malloc(2, 0x2000, 64)
+		s.Free(2, 0x2000, 64)
+		g.ChanSend(1, 4, 0)
+		g.ChanRecv(2, 4, 0)
+		g.ChanAck(1, 4, 0)
+		g.WGAdd(0, 3, 2)
+		g.WGDone(1, 3)
+		g.WGWait(0, 3)
+	}
+	var buf bytes.Buffer
+	n, err := recordTrace(&buf, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &collector{}
+	emit(want)
+	if n != uint64(len(want.out)) {
+		t.Fatalf("recorded %d events, emitted %d", n, len(want.out))
+	}
+	got := &collector{}
+	if err := replayTrace(&buf, got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.out, want.out) {
+		t.Fatalf("replayed stream differs:\ngot  %q\nwant %q", got.out, want.out)
+	}
+}
+
+// TestRecorderEventCount checks recordTrace's event count across batch
+// boundaries, and that the file holds one Batch frame per encoder batch
+// followed by the Close frame.
+func TestRecorderEventCount(t *testing.T) {
+	const n = 2*event.DefaultBatchSize + 3
+	var buf bytes.Buffer
+	got, err := recordTrace(&buf, func(s event.Sink) {
+		for i := 0; i < n; i++ {
+			s.Write(0, uint64(8*i), 8, 0)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != n {
+		t.Errorf("recorded %d events, want %d", got, n)
+	}
+	var types []wire.Type
+	rd := wire.NewReader(&buf, 0)
+	for {
+		h, _, err := rd.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		types = append(types, h.Type)
+	}
+	want := []wire.Type{wire.TypeBatch, wire.TypeBatch, wire.TypeBatch, wire.TypeClose}
+	if !reflect.DeepEqual(types, want) {
+		t.Errorf("frames %v, want %v", types, want)
+	}
+}
+
+// TestReplayedAnalysisMatchesLive pins the offline-analysis workflow: a
+// detector fed from a recorded trace reports exactly what race.RunE
+// reports on the live run, for every workload and granularity.
+func TestReplayedAnalysisMatchesLive(t *testing.T) {
+	for _, spec := range workloads.All() {
+		data := record(t, func(s event.Sink) { sim.Run(spec.Program(), s, sim.Options{Seed: 42}) })
+		for _, g := range []race.Granularity{race.Byte, race.Word, race.Dynamic} {
+			live, err := race.RunE(spec.Program(), race.Options{Granularity: g, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := detector.New(detector.Config{Granularity: g})
+			if err := replayTrace(bytes.NewReader(data), d); err != nil {
+				t.Fatalf("%s/%s: %v", spec.Name, g, err)
+			}
+			var got []race.Race
+			for _, x := range d.Races() {
+				got = append(got, race.Race{
+					Kind: x.Kind.String(), Addr: x.Addr, Size: x.Size,
+					Tid: int32(x.Tid), PC: uint32(x.PC),
+					OtherTid: int32(x.PrevTid), OtherPC: uint32(x.PrevPC),
+				})
+			}
+			if !reflect.DeepEqual(got, live.Races) {
+				t.Errorf("%s/%s: replay reports %d races, live %d", spec.Name, g, len(got), len(live.Races))
+			}
+			if acc := d.Stats().Accesses; acc != live.Detector.Accesses {
+				t.Errorf("%s/%s: replay analyzed %d accesses, live %d", spec.Name, g, acc, live.Detector.Accesses)
+			}
+		}
+	}
+}
+
+// TestReplayKeepsGoSyncStructured pins replay fidelity for Go-native
+// synchronization: channel and WaitGroup edges reach the detector as
+// themselves, so compact clocks stay structured exactly as in a live run
+// instead of being demoted by lock-shaped stand-ins.
+func TestReplayKeepsGoSyncStructured(t *testing.T) {
+	for _, name := range []string{"fanin", "pipedag", "workerpool"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := record(t, func(s event.Sink) { sim.Run(spec.Program(), s, sim.Options{Seed: 42}) })
+		d := detector.New(detector.Config{Granularity: detector.Dynamic, Clock: detector.ClockCompact})
+		if err := replayTrace(bytes.NewReader(data), d); err != nil {
+			t.Fatal(err)
+		}
+		st := d.Stats()
+		if st.ClockDemotions != 0 || st.ClockStructuredThreads == 0 {
+			t.Errorf("%s: replay demoted %d threads (%d structured), want 0 demotions",
+				name, st.ClockDemotions, st.ClockStructuredThreads)
+		}
+	}
+}
+
+// TestReplayTruncatedFails checks that damaged or foreign files are
+// refused instead of replaying a partial stream.
+func TestReplayTruncatedFails(t *testing.T) {
+	data := record(t, func(s event.Sink) {
+		for i := 0; i < 3*event.DefaultBatchSize; i++ {
+			s.Write(vc.TID(i%2), uint64(0x1000+8*(i%64)), 8, 1)
+		}
+	})
+	closeFrame := wire.HeaderSize // the Close frame has no payload
+	cases := map[string][]byte{
+		"cut at frame boundary": data[:len(data)-closeFrame],
+		"cut mid-frame":         data[:len(data)/2],
+		"flipped payload byte": func() []byte {
+			bad := append([]byte(nil), data...)
+			bad[wire.HeaderSize+10] ^= 0x40
+			return bad
+		}(),
+		"trailing data": append(append([]byte(nil), data...), data[:wire.HeaderSize]...),
+		// Opcode/varint records (write tid 0 addr +0x1000 size 1 pc 0, …).
+		"older opcode format": bytes.Repeat([]byte{0x02, 0x00, 0x80, 0x40, 0x01, 0x00}, 16),
+	}
+	for name, bad := range cases {
+		if err := replayTrace(bytes.NewReader(bad), &collector{}); err == nil {
+			t.Errorf("%s: replay accepted a damaged trace", name)
+		}
+	}
+	if err := replayTrace(bytes.NewReader(cases["older opcode format"]), &collector{}); !strings.Contains(err.Error(), "magic") {
+		t.Errorf("older trace format: %v, want a frame-magic error", err)
+	}
+	if err := replayTrace(bytes.NewReader(data), &collector{}); err != nil {
+		t.Fatalf("intact trace: %v", err)
+	}
+}
+
+// TestCompactness bounds the file cost of a sequential sweep: the
+// columnar encoding's delta-coded address column keeps it to a few bytes
+// per access, frame headers and the close marker included.
+func TestCompactness(t *testing.T) {
+	data := record(t, func(s event.Sink) {
+		for i := 0; i < 1000; i++ {
+			s.Write(0, 0x1000+uint64(i)*4, 4, 1)
+		}
+	})
+	if perEvent := float64(len(data)) / 1000; perEvent > 6 {
+		t.Errorf("sequential sweep costs %.1f bytes/event", perEvent)
+	}
+}

@@ -1,8 +1,9 @@
 // Command tracereplay records a benchmark's instrumentation event stream
-// to a compact binary trace and replays traces into any detector — the
-// record/replay workflow of RecPlay (Section VI related work), useful for
-// analyzing one execution under many detector configurations without
-// re-running the program.
+// to a trace file and replays traces into any detector — the record/replay
+// workflow of RecPlay (Section VI related work), useful for analyzing one
+// execution under many detector configurations without re-running the
+// program. A trace file holds the same CRC-checked columnar Batch frames a
+// client streams to racedetectd (see frames.go).
 //
 // Usage:
 //
@@ -43,7 +44,6 @@ import (
 	"repro/internal/segment"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/workloads"
 )
@@ -65,8 +65,6 @@ func main() {
 			"comma-separated racedetectd addresses: replay sharded across the fleet and merge their reports")
 		workers = flag.Int("workers", 0,
 			"with -remote: detection workers to request from the server (0 = server default)")
-		codec = flag.String("codec", "auto",
-			"with -remote: batch codec ceiling to negotiate (auto | v1 packed | v2 columnar)")
 		batchPolicy = flag.String("batch-policy", "fixed",
 			"with -remote: transport batch sizing (fixed | adaptive)")
 		statsInterval = flag.Duration("stats-interval", 0,
@@ -149,11 +147,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rec := trace.NewRecorder(f)
 		endRecord := tracer.Span("record", map[string]any{"bench": spec.Name})
-		st := sim.Run(spec.Build(*scale), rec, sim.Options{Seed: *seed})
+		var st sim.Stats
+		events, err := recordTrace(f, func(s event.Sink) {
+			st = sim.Run(spec.Build(*scale), s, sim.Options{Seed: *seed})
+		})
 		endRecord()
-		if err := rec.Close(); err != nil {
+		if err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -161,8 +161,8 @@ func main() {
 		}
 		info, _ := os.Stat(*out)
 		fmt.Printf("recorded %d events (%d accesses) to %s (%d bytes, %.2f B/event)\n",
-			rec.Events(), st.Accesses, *out, info.Size(),
-			float64(info.Size())/float64(rec.Events()))
+			events, st.Accesses, *out, info.Size(),
+			float64(info.Size())/float64(events))
 
 	case *replay != "":
 		f, err := os.Open(*replay)
@@ -174,13 +174,13 @@ func main() {
 		knobs := streamKnobs{prov: *provenance, traceSample: *traceSample, tracer: tracer, budget: budgetFrac, elide: *elide}
 		if *clusterList != "" {
 			endReplay := tracer.Span("replay-cluster", map[string]any{"cluster": *clusterList})
-			replayCluster(f, strings.Split(*clusterList, ","), *gran, *codec, *batchPolicy, *workers, *v, start, obs.reg, knobs)
+			replayCluster(f, strings.Split(*clusterList, ","), *gran, *batchPolicy, *workers, *v, start, obs.reg, knobs)
 			endReplay()
 			return
 		}
 		if *remote != "" {
 			endReplay := tracer.Span("replay-remote", map[string]any{"addr": *remote})
-			replayRemote(f, *remote, *gran, *codec, *batchPolicy, *workers, *v, start, obs.reg, knobs)
+			replayRemote(f, *remote, *gran, *batchPolicy, *workers, *v, start, obs.reg, knobs)
 			endReplay()
 			return
 		}
@@ -211,7 +211,7 @@ func main() {
 				sink = el
 			}
 			endReplay := tracer.Span("replay", map[string]any{"tool": "fasttrack", "granularity": *gran})
-			err := trace.Replay(f, sink)
+			err := replayTrace(f, sink)
 			endReplay()
 			if err != nil {
 				fatal(err)
@@ -241,7 +241,7 @@ func main() {
 			}
 			d := segment.New(segment.Options{})
 			endReplay := tracer.Span("replay", map[string]any{"tool": "drd"})
-			err := trace.Replay(f, d)
+			err := replayTrace(f, d)
 			endReplay()
 			if err != nil {
 				fatal(err)
@@ -259,20 +259,14 @@ func main() {
 	}
 }
 
-// parseStreamOpts maps the shared -granularity/-codec/-batch-policy flag
-// values for the remote and cluster replay paths, exiting on bad input.
-func parseStreamOpts(gran, codec, batchPolicy string) (detector.Granularity, int, *event.BatchPolicy) {
+// parseStreamOpts maps the shared -granularity/-batch-policy flag values
+// for the remote and cluster replay paths, exiting on bad input.
+func parseStreamOpts(gran, batchPolicy string) (detector.Granularity, *event.BatchPolicy) {
 	g, ok := map[string]detector.Granularity{
 		"byte": detector.Byte, "word": detector.Word, "dynamic": detector.Dynamic,
 	}[gran]
 	if !ok {
 		fatal(fmt.Errorf("unknown granularity %q", gran))
-	}
-	reqCodec, ok := map[string]int{
-		"auto": 0, "": 0, "v1": wire.CodecPacked, "v2": wire.CodecColumnar,
-	}[codec]
-	if !ok {
-		fatal(fmt.Errorf("unknown codec %q (want auto, v1 or v2)", codec))
 	}
 	var policy *event.BatchPolicy
 	switch batchPolicy {
@@ -282,7 +276,7 @@ func parseStreamOpts(gran, codec, batchPolicy string) (detector.Granularity, int
 	default:
 		fatal(fmt.Errorf("unknown batch policy %q (want fixed or adaptive)", batchPolicy))
 	}
-	return g, reqCodec, policy
+	return g, policy
 }
 
 // streamKnobs bundles the observability knobs the remote and cluster
@@ -380,13 +374,12 @@ func printRaces(races []detector.Race, provs []detector.Provenance) {
 // replayRemote streams a recorded trace to a racedetectd and prints the
 // service's report. reg, when non-nil, receives the client's wire metrics
 // (client_batches_total, client_encode_ns, …) for the -metrics-addr page.
-func replayRemote(f *os.File, addr, gran, codec, batchPolicy string, workers int, verbose bool, start time.Time, reg *telemetry.Registry, knobs streamKnobs) {
-	g, reqCodec, policy := parseStreamOpts(gran, codec, batchPolicy)
+func replayRemote(f *os.File, addr, gran, batchPolicy string, workers int, verbose bool, start time.Time, reg *telemetry.Registry, knobs streamKnobs) {
+	g, policy := parseStreamOpts(gran, batchPolicy)
 	ctrl := samplingController(knobs.budget)
 	clOpts := client.Options{
 		Addr:        addr,
 		Telemetry:   reg,
-		Codec:       reqCodec,
 		BatchPolicy: policy,
 		TraceSample: knobs.traceSample,
 		Tracer:      knobs.tracer,
@@ -401,7 +394,7 @@ func replayRemote(f *os.File, addr, gran, codec, batchPolicy string, workers int
 	}
 	sink, smp := samplingLane(event.Sink(cl), knobs.budget, ctrl, reg)
 	sink, el := elideLane(sink, knobs.elide, reg)
-	if err := trace.Replay(f, sink); err != nil {
+	if err := replayTrace(f, sink); err != nil {
 		fatal(err)
 	}
 	rep, err := cl.Close()
@@ -412,8 +405,8 @@ func replayRemote(f *os.File, addr, gran, codec, batchPolicy string, workers int
 	fmt.Printf("remote fasttrack/%s over %d accesses in %v: %d races, %d peak clocks, %.2f MB peak\n",
 		gran, rep.Stats.Accesses, time.Since(start).Round(time.Microsecond),
 		len(rep.Races), rep.Stats.NodesPeak, float64(rep.Stats.TotalPeakBytes)/(1<<20))
-	fmt.Printf("transport   %d batches, %d events, %d payload bytes to %s (codec %s)\n",
-		st.Batches, st.Events, st.PayloadBytes, addr, wire.CodecName(cl.Codec()))
+	fmt.Printf("transport   %d batches, %d events, %d payload bytes to %s\n",
+		st.Batches, st.Events, st.PayloadBytes, addr)
 	if smp != nil {
 		printSamplingSummary(knobs.budget, smp)
 	}
@@ -432,13 +425,12 @@ func replayRemote(f *os.File, addr, gran, codec, batchPolicy string, workers int
 // prints the merged report — the fleet-scale sibling of replayRemote.
 // Per-member batch policies are independent, so an adaptive policy tunes
 // each member's batches to that member's observed back-pressure.
-func replayCluster(f *os.File, members []string, gran, codec, batchPolicy string, workers int, verbose bool, start time.Time, reg *telemetry.Registry, knobs streamKnobs) {
-	g, reqCodec, policy := parseStreamOpts(gran, codec, batchPolicy)
+func replayCluster(f *os.File, members []string, gran, batchPolicy string, workers int, verbose bool, start time.Time, reg *telemetry.Registry, knobs streamKnobs) {
+	g, policy := parseStreamOpts(gran, batchPolicy)
 	ctrl := samplingController(knobs.budget)
 	sOpts := cluster.Options{
 		Members:     members,
 		Telemetry:   reg,
-		Codec:       reqCodec,
 		TraceSample: knobs.traceSample,
 		Tracer:      knobs.tracer,
 		NewBatchPolicy: func() *event.BatchPolicy {
@@ -460,7 +452,7 @@ func replayCluster(f *os.File, members []string, gran, codec, batchPolicy string
 	}
 	sink, smp := samplingLane(event.Sink(cl), knobs.budget, ctrl, reg)
 	sink, el := elideLane(sink, knobs.elide, reg)
-	if err := trace.Replay(f, sink); err != nil {
+	if err := replayTrace(f, sink); err != nil {
 		fatal(err)
 	}
 	rep, err := cl.Close()

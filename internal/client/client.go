@@ -61,12 +61,6 @@ type Options struct {
 	// synchronously on the caller's thread and each is acknowledged before
 	// the next send. Default is asynchronous streaming.
 	Sync bool
-	// Codec is the requested batch-codec ceiling (0 = the best this build
-	// speaks, wire.CodecMax). wire.CodecPacked forces the v1 fixed-record
-	// format; the server may always grant less (an old server grants v1).
-	// The negotiated codec is fixed for the life of the session — resumes
-	// re-request it and fail permanently if the server switches.
-	Codec int
 	// BatchPolicy, when non-nil, adapts the batch flush threshold to
 	// transport back-pressure: outbox occupancy at ship time and the
 	// server's ack round trip (see event.BatchPolicy). Nil ships fixed
@@ -129,9 +123,6 @@ func (o Options) withDefaults() Options {
 	if o.ReportTimeout <= 0 {
 		o.ReportTimeout = 60 * time.Second
 	}
-	if o.Codec <= 0 || o.Codec > wire.CodecMax {
-		o.Codec = wire.CodecMax
-	}
 	return o
 }
 
@@ -139,7 +130,7 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	Batches      uint64 // batch frames written (excluding resends)
 	Events       uint64 // event records encoded
-	PayloadBytes uint64 // batch payload bytes written (post-codec, excluding frame headers and resends)
+	PayloadBytes uint64 // batch payload bytes written (encoded, excluding frame headers and resends)
 	Reconnects   uint64 // successful re-dials after a drop
 	Resends      uint64 // frames replayed on resume
 }
@@ -192,25 +183,12 @@ type clientMetrics struct {
 	encodeNS   *telemetry.Histogram
 	ackRTT     *telemetry.Histogram
 
-	// rawBytes counts what the stream would cost as packed records
-	// (records × wire.RecSize); payloadV1/payloadV2 count the batch
-	// payload bytes actually encoded, by codec. Their quotient is the
-	// live wire_compression_ratio gauge.
-	rawBytes  *telemetry.Counter
-	payloadV1 *telemetry.Counter
-	payloadV2 *telemetry.Counter
-}
-
-// payload returns the payload-byte counter for codec (nil — a no-op —
-// when telemetry is disabled or the codec is unknown).
-func (m *clientMetrics) payload(codec int) *telemetry.Counter {
-	switch codec {
-	case wire.CodecPacked:
-		return m.payloadV1
-	case wire.CodecColumnar:
-		return m.payloadV2
-	}
-	return nil
+	// rawBytes counts what the stream would cost at fixed width
+	// (records × wire.RecSize); payload counts the batch payload bytes
+	// actually encoded. Their quotient is the live wire_compression_ratio
+	// gauge.
+	rawBytes *telemetry.Counter
+	payload  *telemetry.Counter
 }
 
 func newClientMetrics(r *telemetry.Registry) clientMetrics {
@@ -224,14 +202,13 @@ func newClientMetrics(r *telemetry.Registry) clientMetrics {
 		resends:    r.Counter("client_resends_total", "Frames replayed on session resume."),
 		encodeNS:   r.Histogram("client_encode_ns", "Per-batch frame encode latency."),
 		ackRTT:     r.Histogram("client_ack_rtt_ns", "Send-to-ack round trip per acknowledged frame."),
-		rawBytes:   r.Counter("wire_raw_bytes_total", "Batch bytes the stream would cost as packed records (records x 37)."),
-		payloadV1:  r.Counter("wire_payload_bytes_total", "Batch payload bytes encoded, by codec.", telemetry.Labels{"codec": "v1"}),
-		payloadV2:  r.Counter("wire_payload_bytes_total", "Batch payload bytes encoded, by codec.", telemetry.Labels{"codec": "v2"}),
+		rawBytes:   r.Counter("wire_raw_bytes_total", "Batch bytes the stream would cost at fixed width (records x 37)."),
+		payload:    r.Counter("wire_payload_bytes_total", "Batch payload bytes encoded."),
 	}
-	raw, v1, v2 := m.rawBytes, m.payloadV1, m.payloadV2
-	r.GaugeFunc("wire_compression_ratio", "Raw packed bytes over encoded payload bytes (1 = no compression).",
+	raw, payload := m.rawBytes, m.payload
+	r.GaugeFunc("wire_compression_ratio", "Fixed-width bytes over encoded payload bytes (1 = no compression).",
 		func() float64 {
-			p := v1.Load() + v2.Load()
+			p := payload.Load()
 			if p == 0 {
 				return 0
 			}
@@ -255,7 +232,6 @@ type Client struct {
 
 	sessionID uint64
 	window    int
-	codec     int  // negotiated batch codec, fixed for the session's life
 	traced    bool // server granted HelloAck.Trace and TraceSample > 0
 	batchSeq  uint64
 	acked     uint64
@@ -316,14 +292,6 @@ func (c *Client) SessionID() uint64 {
 	return c.sessionID
 }
 
-// Codec returns the negotiated batch codec (wire.CodecPacked or
-// wire.CodecColumnar).
-func (c *Client) Codec() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.codec
-}
-
 // Traced reports whether the server granted distributed tracing for this
 // session (HelloAck.Trace with a non-zero TraceSample).
 func (c *Client) Traced() bool {
@@ -380,20 +348,6 @@ func (c *Client) connectLocked() error {
 			c.logf("connect attempt %d/%d failed: %v", attempt+1, c.opts.MaxAttempts, err)
 			continue
 		}
-		granted := wire.NegotiateCodec(ack.Codec) // absent field = pre-codec server = v1
-		if granted > c.opts.Codec {
-			granted = c.opts.Codec // never exceed what we asked for
-		}
-		if resuming && granted != c.codec {
-			// The retained unacked frames are encoded in the session codec;
-			// a server that switches mid-session would misdecode the replay.
-			conn.Close()
-			c.err = fmt.Errorf("client: server switched codec %s -> %s on resume",
-				wire.CodecName(c.codec), wire.CodecName(granted))
-			c.cond.Broadcast()
-			return c.err
-		}
-		c.codec = granted
 		c.traced = ack.Trace && c.opts.TraceSample > 0
 		c.conn = conn
 		c.connDead = false
@@ -451,11 +405,7 @@ func (c *Client) handshake() (net.Conn, wire.HelloAck, error) {
 	hello.Version = wire.Version
 	hello.Resume = c.sessionID
 	hello.Window = c.opts.Window
-	hello.Codec = c.opts.Codec
 	hello.Trace = c.opts.TraceSample > 0
-	if c.sessionID != 0 {
-		hello.Codec = c.codec // resume: re-request the session codec exactly
-	}
 	frame, err := wire.AppendControlFrame(nil, wire.Header{Type: wire.TypeHello}, hello)
 	if err != nil {
 		conn.Close()
@@ -591,9 +541,9 @@ func (c *Client) receive(conn net.Conn, gen int) {
 
 // ---- send path ----
 
-// flushBatch is the Encoder's Flush hook: it frames the batch in the
-// session codec, recycles it, and hands the frame to the sender (async)
-// or sends it inline and waits for its ack (sync). It also services the
+// flushBatch is the Encoder's Flush hook: it frames the batch, recycles
+// it, and hands the frame to the sender (async) or sends it inline and
+// waits for its ack (sync). It also services the
 // adaptive policy: outbox occupancy is observed at ship time, and the
 // encoder's next flush threshold is refreshed from the policy target.
 func (c *Client) flushBatch(b *event.Batch) {
@@ -602,7 +552,6 @@ func (c *Client) flushBatch(b *event.Batch) {
 	c.batchSeq++
 	seq := c.batchSeq
 	session := c.sessionID
-	codec := c.codec
 	traced := c.traced
 	fatal := c.err != nil
 	c.mu.Unlock()
@@ -621,13 +570,13 @@ func (c *Client) flushBatch(b *event.Batch) {
 	if c.met.encodeNS != nil {
 		encStart = time.Now()
 	}
-	frame := wire.AppendBatchFrameTraced(nil, wire.Header{Session: session, Seq: seq}, b, codec, trace, span)
+	frame := wire.AppendBatchFrameTraced(nil, wire.Header{Session: session, Seq: seq}, b, trace, span)
 	if c.met.encodeNS != nil {
 		c.met.encodeNS.ObserveSince(encStart)
 	}
 	event.PutBatch(b)
 	c.met.rawBytes.Add(uint64(n) * wire.RecSize)
-	c.met.payload(codec).Add(uint64(len(frame) - wire.HeaderSize))
+	c.met.payload.Add(uint64(len(frame) - wire.HeaderSize))
 	sf := sentFrame{seq: seq, data: frame, events: n, trace: trace, span: span}
 	if c.opts.Sync {
 		c.send(sf, true)

@@ -17,8 +17,8 @@
 // per-member race sets equals the single-process race set.
 //
 // Each member connection is an ordinary internal/client session with its
-// own sequence space, windowed acks, codec negotiation and resume — the
-// coordinator composes N of them without touching the wire protocol.
+// own sequence space, windowed acks and resume — the coordinator composes
+// N of them without touching the wire protocol.
 package cluster
 
 import (
@@ -48,10 +48,6 @@ type Options struct {
 	Window int
 	// Sync selects strict-ordering transport on every member connection.
 	Sync bool
-	// Codec is the requested batch-codec ceiling, negotiated per member —
-	// a mixed-version fleet may grant different codecs to different
-	// connections.
-	Codec int
 	// NewBatchPolicy, when non-nil, is called once per member connection
 	// to build its adaptive batch policy. A policy holds single-connection
 	// state (RTT and queue observations), so members cannot share one.
@@ -197,7 +193,6 @@ func (s *Sink) clientOptions(addr string) client.Options {
 		Hello:         s.opts.Hello,
 		Window:        s.opts.Window,
 		Sync:          s.opts.Sync,
-		Codec:         s.opts.Codec,
 		DialTimeout:   s.opts.DialTimeout,
 		ReportTimeout: s.opts.ReportTimeout,
 		Logf:          s.opts.Logf,

@@ -13,7 +13,7 @@
 //     now complete up to the watermark, so every verdict it has already
 //     produced for the slot is also derivable from the journal prefix.
 //  2. Fresh session on the target: dial it like any member (Hello/
-//     HelloAck, its own codec and sequence space — the same resume
+//     HelloAck, its own sequence space — the same resume
 //     machinery an interrupted client uses, pointed at a new server).
 //  3. Replay: feed the journal through the new session — sync events
 //     in full, access pieces filtered to the moved slot — in original

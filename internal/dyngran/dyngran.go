@@ -316,7 +316,7 @@ func (p *Plane) clone(n *Node, lo, hi uint64, locs int32) *Node {
 	c.Reported = n.Reported
 	c.PC = n.PC
 	p.account(c, +1)
-	p.Tab.SetRange(lo, hi, c)
+	p.Tab.ReplaceRange(lo, hi, n, c)
 	return c
 }
 
@@ -331,12 +331,15 @@ func (p *Plane) release(n *Node) {
 	p.free = append(p.free, n)
 }
 
-// hasCells reports whether any shadow slot in [lo, hi) is set.
-func (p *Plane) hasCells(lo, hi uint64) bool {
+// owns reports whether any shadow slot in [lo, hi) points at n. A node's
+// range can hold other nodes' slots: first-epoch sharing merges across
+// unaccessed gaps (neighborSearchDist), and a gap address accessed later
+// gets a node of its own. Range operations on n leave those slots alone.
+func (p *Plane) owns(n *Node, lo, hi uint64) bool {
 	found := false
-	p.Tab.ForRange(lo, hi, func(uint64, *Node) bool {
-		found = true
-		return false
+	p.Tab.ForRange(lo, hi, func(_ uint64, m *Node) bool {
+		found = m == n
+		return !found
 	})
 	return found
 }
@@ -351,8 +354,8 @@ func (p *Plane) Split(n *Node, lo, hi uint64) *Node {
 	if n.Lo == lo && n.Hi == hi {
 		return n // nothing to carve
 	}
-	leftLive := lo > n.Lo && p.hasCells(n.Lo, lo)
-	rightLive := hi < n.Hi && p.hasCells(hi, n.Hi)
+	leftLive := lo > n.Lo && p.owns(n, n.Lo, lo)
+	rightLive := hi < n.Hi && p.owns(n, hi, n.Hi)
 
 	remainder := n.Locs - 1
 	if remainder < 1 {
@@ -405,7 +408,7 @@ func (p *Plane) Merge(dst, src *Node) *Node {
 	}
 	p.St.Merges++
 	p.Met.Merges.Inc()
-	p.Tab.SetRange(src.Lo, src.Hi, dst)
+	p.Tab.ReplaceRange(src.Lo, src.Hi, src, dst)
 	if src.Lo < dst.Lo {
 		dst.Lo = src.Lo
 	}
@@ -637,28 +640,20 @@ func (p *Plane) DropRange(lo, hi uint64) {
 		switch {
 		case n.Lo >= lo && n.Hi <= hi:
 			p.release(n)
+			continue
 		case n.Lo < lo && n.Hi > hi:
 			// Straddles both ends: keep left in n, clone the right tail.
-			if p.hasCells(hi, n.Hi) {
+			if p.owns(n, hi, n.Hi) {
 				p.clone(n, hi, n.Hi, 1)
 			}
 			n.Hi = lo
-			if !p.hasCells(n.Lo, n.Hi) {
-				p.Tab.ClearRange(n.Lo, n.Hi)
-				p.release(n)
-			}
 		case n.Lo < lo:
 			n.Hi = lo
-			if !p.hasCells(n.Lo, n.Hi) {
-				p.Tab.ClearRange(n.Lo, n.Hi)
-				p.release(n)
-			}
 		default: // n.Hi > hi
 			n.Lo = hi
-			if !p.hasCells(n.Lo, n.Hi) {
-				p.Tab.ClearRange(n.Lo, n.Hi)
-				p.release(n)
-			}
+		}
+		if !p.owns(n, n.Lo, n.Hi) {
+			p.release(n)
 		}
 	}
 	for i := range nodes {

@@ -294,6 +294,42 @@ func TestDropRangePartial(t *testing.T) {
 	}
 }
 
+// A first-epoch share across a gap leaves the gap inside the shared
+// node's range; a gap address accessed later gets a node of its own.
+// Range operations on the shared node must leave that node's slots alone.
+func TestRangeOpsSkipForeignSlotsInGap(t *testing.T) {
+	p, st := newWritePlane()
+	e := vc.MakeEpoch(1, 1)
+	a := p.NewNode(0x10b, 0x110, Init)
+	a.W = e
+	p.TryFirstEpochShare(a)
+	b := p.NewNode(0x115, 0x11b, Init)
+	b.W = e
+	if p.TryFirstEpochShare(b) != a || a.Lo != 0x10b || a.Hi != 0x11b {
+		t.Fatalf("gap share: a = [%#x, %#x)", a.Lo, a.Hi)
+	}
+	g := p.NewNode(0x110, 0x112, Init) // fills part of the gap
+	g.W = vc.MakeEpoch(0, 3)
+	p.TryFirstEpochShare(g)
+
+	p.DropRange(0x10e, 0x110) // a straddles the freed range; its tail is cloned
+	for addr := uint64(0x110); addr < 0x112; addr++ {
+		if p.Tab.Get(addr) != g {
+			t.Fatalf("slot %#x lost its node", addr)
+		}
+	}
+	if st.NodesCur != 3 {
+		t.Errorf("nodes = %d, want 3 (a, a's cloned tail, g)", st.NodesCur)
+	}
+
+	c := p.Split(p.Tab.Get(0x115), 0x115, 0x117) // carve out of the tail
+	c.W = vc.MakeEpoch(0, 3)
+	p.DecideSecondEpoch(c)
+	if p.Tab.Get(0x110) != g || g.State != Init {
+		t.Error("split of a gapped node overwrote the gap's node")
+	}
+}
+
 func TestTryExtendLeft(t *testing.T) {
 	p, st := newWritePlane()
 	e := vc.MakeEpoch(0, 1)

@@ -68,15 +68,10 @@ type Options struct {
 	// Detector is the FastTrack configuration applied to every worker; the
 	// pipeline fills in the Shard/Shards fields.
 	Detector detector.Config
-	// ChannelDepth is the per-worker batch queue depth (0 = default 8;
-	// rounded up to a power of two for ring dispatch). Deeper queues
-	// absorb bursts; the queue bounds memory because batches are
-	// fixed-size.
+	// ChannelDepth is the per-worker batch queue depth (0 = default 8).
+	// Deeper queues absorb bursts; the queue bounds memory because
+	// batches are fixed-size.
 	ChannelDepth int
-	// Dispatch selects the router→worker transport: "" or "ring" for the
-	// lock-free SPSC ring (default), "chan" for the buffered-channel
-	// baseline the dispatch benchmarks compare against.
-	Dispatch string
 	// BatchPolicy, when non-nil, adapts the router's batch flush
 	// threshold to worker-queue back-pressure (see event.BatchPolicy):
 	// small batches while workers are starved, full batches while they
@@ -132,8 +127,15 @@ type seqRace struct {
 	prov *detector.Provenance
 }
 
+// item is one queued hand-off: exactly one of b (row-major record batch)
+// or c (columnar batch) is non-nil.
+type item struct {
+	b *event.Batch
+	c *event.Cols
+}
+
 type worker struct {
-	q     batchQueue
+	q     chan item
 	det   *detector.Detector
 	races []seqRace
 	// provOn mirrors Config.Provenance: the worker stamps the router's
@@ -143,23 +145,36 @@ type worker struct {
 	shard  int
 
 	// events counts records applied by this shard; applyNS observes
-	// per-batch apply latency. Both are nil (no-op) when telemetry is
-	// disabled.
+	// per-batch apply latency; parks counts receives that found the queue
+	// empty. All are nil (no-op) when telemetry is disabled.
 	events  *telemetry.Counter
 	applyNS *telemetry.Histogram
+	parks   *telemetry.Counter
 	// tracer receives one shard.apply span per traced batch (nil = off).
 	tracer *telemetry.Tracer
 }
 
+// recv dequeues the next batch, counting a park when the queue is empty;
+// ok is false once the router closed the queue and it drained.
+func (w *worker) recv() (item, bool) {
+	select {
+	case it, ok := <-w.q:
+		return it, ok
+	default:
+		w.parks.Inc()
+		it, ok := <-w.q
+		return it, ok
+	}
+}
+
 // run drains the worker's batch queue, applying each record to the shard
 // detector and tagging any race the record completed with its sequence
-// number. It owns det exclusively; the queue's publication ordering (ring
-// cursor release/acquire, or the channel hand-off) is the memory fence
-// between router and worker.
+// number. It owns det exclusively; the channel hand-off is the memory
+// fence between router and worker.
 func (w *worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
-		it, ok := w.q.recv()
+		it, ok := w.recv()
 		if !ok {
 			return
 		}
@@ -297,9 +312,11 @@ type Pipeline struct {
 
 	// batches counts shipped batches; dispatchNS observes the router's
 	// blocking time per ship (non-zero when worker queues are full — the
-	// back-pressure signal). Nil when telemetry is disabled.
+	// back-pressure signal); parks counts ships that found the queue full.
+	// Nil when telemetry is disabled.
 	batches    *telemetry.Counter
 	dispatchNS *telemetry.Histogram
+	parks      *telemetry.Counter
 
 	// trace/span are the current upstream span context (see SetTrace):
 	// shipped batches are stamped with it so worker apply spans parent
@@ -335,16 +352,13 @@ func New(opts Options) *Pipeline {
 		obs:         opts.Backpressure,
 	}
 	reg := opts.Telemetry
-	var prodParks, consParks *telemetry.Counter
+	var consParks *telemetry.Counter
 	if reg != nil {
 		p.batches = reg.Counter("pipeline_batches_total", "Event batches shipped to workers.")
 		p.dispatchNS = reg.Histogram("pipeline_dispatch_wait_ns", "Router blocking time per batch ship (back-pressure).")
-		prodParks = reg.Counter("pipeline_ring_parks_total", "Ring park events by side.", telemetry.Labels{"side": "producer"})
-		consParks = reg.Counter("pipeline_ring_parks_total", "Ring park events by side.", telemetry.Labels{"side": "consumer"})
-	}
-	newQueue := func() batchQueue { return newRing(depth, prodParks, consParks) }
-	if opts.Dispatch == "chan" {
-		newQueue = func() batchQueue { return newChanQueue(depth) }
+		const parksHelp = "Worker-queue blocking events by side: a ship found the queue full (producer) or a worker found it empty (consumer)."
+		p.parks = reg.Counter("pipeline_ring_parks_total", parksHelp, telemetry.Labels{"side": "producer"})
+		consParks = reg.Counter("pipeline_ring_parks_total", parksHelp, telemetry.Labels{"side": "consumer"})
 	}
 	cfg := opts.Detector
 	if cfg.Metrics == nil && reg != nil {
@@ -358,11 +372,12 @@ func New(opts Options) *Pipeline {
 			wcfg.Shards, wcfg.Shard = n, i
 		}
 		w := &worker{
-			q:      newQueue(),
+			q:      make(chan item, depth),
 			det:    detector.New(wcfg),
 			provOn: wcfg.Provenance,
 			shard:  i,
 			tracer: opts.Tracer,
+			parks:  consParks,
 		}
 		if reg != nil {
 			shard := telemetry.Labels{"shard": fmt.Sprint(i)}
@@ -377,25 +392,13 @@ func New(opts Options) *Pipeline {
 		reg.GaugeFunc("pipeline_queue_depth", "Batches queued to workers, not yet picked up.",
 			func() float64 { return float64(p.QueueDepth()) })
 		reg.GaugeFunc("pipeline_ring_occupancy", "Mean per-worker queue occupancy as a fraction of capacity (0 = drained, 1 = full).",
-			p.ringOccupancy)
+			p.Occupancy)
 		reg.GaugeFunc("pipeline_shard_imbalance", "Max/mean ratio of per-shard applied events (1 = perfectly balanced).",
 			p.shardImbalance)
 		reg.GaugeFunc("pipeline_batch_target", "Adaptive batch flush threshold in records (DefaultBatchSize when fixed).",
 			func() float64 { return float64(p.policy.Target()) })
 	}
 	return p
-}
-
-// ringOccupancy returns the mean occupied fraction of the worker queues —
-// the producer-side back-pressure signal, as a gauge.
-func (p *Pipeline) ringOccupancy() float64 {
-	var frac float64
-	for _, w := range p.workers {
-		if c := w.q.capacity(); c > 0 {
-			frac += float64(w.q.len()) / float64(c)
-		}
-	}
-	return frac / float64(len(p.workers))
 }
 
 // shardImbalance returns max/mean of the per-shard applied-event counts
@@ -428,23 +431,33 @@ func (p *Pipeline) ship(w int, it item) {
 	}
 	q := p.workers[w].q
 	if p.policy != nil {
-		p.policy.ObserveQueue(q.len(), q.capacity())
+		p.policy.ObserveQueue(len(q), cap(q))
 	}
 	if p.obs != nil {
-		p.obs.ObserveQueue(q.len(), q.capacity())
+		p.obs.ObserveQueue(len(q), cap(q))
 	}
 	if p.dispatchNS == nil {
-		q.send(it)
+		p.send(q, it)
 		return
 	}
 	start := time.Now()
-	q.send(it)
+	p.send(q, it)
 	elapsed := time.Since(start)
 	if elapsed < 0 {
 		elapsed = 0
 	}
 	p.dispatchNS.ObserveTraced(uint64(elapsed), p.trace)
 	p.batches.Inc()
+}
+
+// send enqueues it on q, counting a park when q is full.
+func (p *Pipeline) send(q chan item, it item) {
+	select {
+	case q <- it:
+	default:
+		p.parks.Inc()
+		q <- it
+	}
 }
 
 // Workers returns the worker count.
@@ -457,7 +470,7 @@ func (p *Pipeline) Workers() int { return len(p.workers) }
 func (p *Pipeline) QueueDepth() int {
 	depth := 0
 	for _, w := range p.workers {
-		depth += w.q.len()
+		depth += len(w.q)
 	}
 	return depth
 }
@@ -465,7 +478,13 @@ func (p *Pipeline) QueueDepth() int {
 // Occupancy returns the mean occupied fraction of the worker queues in
 // [0,1] — the back-pressure watermark the remote-detection server's load
 // shedder compares against. Safe to call concurrently with routing.
-func (p *Pipeline) Occupancy() float64 { return p.ringOccupancy() }
+func (p *Pipeline) Occupancy() float64 {
+	var frac float64
+	for _, w := range p.workers {
+		frac += float64(len(w.q)) / float64(cap(w.q))
+	}
+	return frac / float64(len(p.workers))
+}
 
 // push appends a record to worker w's pending batch, shipping the batch
 // when it reaches the flush threshold (the adaptive policy's current
@@ -728,7 +747,7 @@ func (p *Pipeline) Wait() Result {
 		p.pendingCols[w] = nil
 	}
 	for _, w := range p.workers {
-		w.q.close()
+		close(w.q)
 	}
 	p.wg.Wait()
 	p.result = p.merge()

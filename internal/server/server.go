@@ -9,8 +9,8 @@
 //
 // One Hello frame opens (or resumes) a session; a session owns one
 // pipeline.Pipeline configured from the negotiated granularity and shard
-// count. Batch frames are decoded into pooled batches and replayed into
-// the pipeline in sequence order; the server acknowledges applied batch
+// count. Batch frames are decoded into pooled columnar batches and routed
+// into the pipeline in sequence order; the server acknowledges applied batch
 // sequences on a negotiated cadence, which gives the client a bounded
 // in-flight window (backpressure: if the detection workers fall behind,
 // acks slow, the window fills, and the producer blocks instead of
@@ -68,11 +68,6 @@ type Options struct {
 	// MaxWorkers caps the per-session detection shard count a Hello may
 	// request (default 4; requests of 0 get 1).
 	MaxWorkers int
-	// MaxCodec caps the batch codec this server grants (default
-	// wire.CodecMax). Setting wire.CodecPacked pins every session to the
-	// v1 packed format — operationally a downgrade switch, and in tests a
-	// stand-in for a pre-columnar server build.
-	MaxCodec int
 	// SessionLinger keeps a detached session resumable after its
 	// connection drops before aborting it (default 10s).
 	SessionLinger time.Duration
@@ -80,7 +75,7 @@ type Options struct {
 	// (legacy printf sink; superseded by Logger when both are set).
 	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives structured session lifecycle records
-	// with typed fields (session id, granularity, codec, ...). When nil,
+	// with typed fields (session id, granularity, workers, ...). When nil,
 	// records are rendered onto Logf; when both are nil, logging is off.
 	Logger *slog.Logger
 	// Telemetry, when non-nil, is the registry the server's racedetectd_*
@@ -147,9 +142,6 @@ func (o Options) withDefaults() Options {
 	if o.SessionLinger <= 0 {
 		o.SessionLinger = 10 * time.Second
 	}
-	if o.MaxCodec <= 0 || o.MaxCodec > wire.CodecMax {
-		o.MaxCodec = wire.CodecMax
-	}
 	if o.ShedHighWater > 0 {
 		if o.ShedLowWater <= 0 || o.ShedLowWater > o.ShedHighWater {
 			o.ShedLowWater = o.ShedHighWater / 2
@@ -170,7 +162,6 @@ type session struct {
 	pl       *pipeline.Pipeline
 	window   int
 	ackEvery int
-	codec    int  // granted batch codec; every Batch frame decodes with it
 	traced   bool // granted Hello.Trace: span-context batch prefixes accepted
 	prov     bool // granted Hello.Provenance: detectors carry flight recorders
 	opened   time.Time
@@ -212,7 +203,6 @@ type closedReport struct {
 	lastSeq  uint64
 	window   int
 	ackEvery int
-	codec    int
 	frame    []byte
 	timer    *time.Timer
 }
@@ -315,14 +305,14 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // shedRecords implements the session's load shedder: it latches the
 // shedding state between the occupancy watermarks, tracks per-site heat,
-// and — while shedding — compacts b.Recs in place, dropping read/write
+// and — while shedding — compacts c's columns in place, dropping read/write
 // records from sites hotter than ShedHotSite. Synchronization and heap
 // records always survive (dropping a sync edge would corrupt the
 // happens-before relation and invent races; dropping an access only
 // risks missing one), and every site keeps its first ShedHotSite
 // accesses, so the cold tail — where unseen races live — keeps full
 // coverage. Returns the number of records dropped.
-func (s *Server) shedRecords(sess *session, b *event.Batch) int {
+func (s *Server) shedRecords(sess *session, c *event.Cols) int {
 	occ := sess.pl.Occupancy()
 	if sess.shedding {
 		if occ < s.opts.ShedLowWater {
@@ -334,23 +324,21 @@ func (s *Server) shedRecords(sess *session, b *event.Batch) int {
 	if sess.heat == nil {
 		sess.heat = make(map[event.PC]uint32)
 	}
-	kept := b.Recs[:0]
-	shed := 0
-	for i := range b.Recs {
-		r := b.Recs[i]
-		if r.Op != event.OpRead && r.Op != event.OpWrite {
-			kept = append(kept, r)
-			continue
+	k := 0
+	for i, op := range c.Ops {
+		if op == event.OpRead || op == event.OpWrite {
+			h := sess.heat[c.PCs[i]] + 1
+			sess.heat[c.PCs[i]] = h
+			if sess.shedding && h > s.opts.ShedHotSite {
+				continue
+			}
 		}
-		h := sess.heat[r.PC] + 1
-		sess.heat[r.PC] = h
-		if sess.shedding && h > s.opts.ShedHotSite {
-			shed++
-			continue
-		}
-		kept = append(kept, r)
+		c.Ops[k], c.Tids[k], c.Sizes[k], c.PCs[k] = op, c.Tids[i], c.Sizes[i], c.PCs[i]
+		c.Addrs[k], c.Auxs[k], c.Seqs[k] = c.Addrs[i], c.Auxs[i], c.Seqs[i]
+		k++
 	}
-	b.Recs = kept
+	shed := c.Len() - k
+	c.Truncate(k)
 	return shed
 }
 
@@ -561,7 +549,6 @@ func (s *Server) dispatch(conn net.Conn, sess *session, h wire.Header, payload [
 				"granularity", detector.Granularity(hello.Granularity).String(),
 				"workers", newSess.pl.Workers(),
 				"window", newSess.window,
-				"codec", wire.CodecName(newSess.codec),
 				"resume_seq", ack.ResumeSeq,
 				"trace", newSess.traced,
 				"provenance", newSess.prov)
@@ -595,66 +582,36 @@ func (s *Server) dispatch(conn net.Conn, sess *session, h wire.Header, payload [
 		if terr != nil {
 			return sess, out, &protoErr{wire.CodeProtocol, terr.Error()}
 		}
-		var n int
-		if sess.codec == wire.CodecColumnar && s.opts.ShedHighWater <= 0 {
-			// Columnar hot path: the v2 payload decodes straight into a
-			// structure-of-arrays batch and flows column-wise into the
-			// pipeline — no per-record Rec materialization between the wire
-			// and the detection workers. Shedding sessions stay on the
-			// record path because shedRecords compacts row-major batches.
-			c, err := wire.DecodeColumnarCols(recs)
-			if err != nil {
-				return sess, out, &protoErr{wire.CodeProtocol, err.Error()}
-			}
-			n = c.Len()
-			if trace != 0 {
-				dispatchSpan := telemetry.NewTraceID()
-				start := time.Now()
-				sess.pl.SetTrace(trace, dispatchSpan)
-				sess.pl.ApplyCols(c)
-				sess.pl.SetTrace(0, 0)
-				s.tracer.RecordSpan(telemetry.SpanRecord{
-					Trace: trace, Span: dispatchSpan, Parent: clientSpan,
-					Name: "server.dispatch", Process: "racedetectd",
-					Dur:  time.Since(start).Nanoseconds(),
-					Args: map[string]any{"session": sess.id, "seq": h.Seq, "recs": n},
-				})
-			} else {
-				sess.pl.ApplyCols(c)
-			}
-			event.PutCols(c)
-		} else {
-			b, err := wire.DecodeBatchCodec(recs, sess.codec)
-			if err != nil {
-				return sess, out, &protoErr{wire.CodeProtocol, err.Error()}
-			}
-			if s.opts.ShedHighWater > 0 {
-				if shed := s.shedRecords(sess, b); shed > 0 {
-					sess.shed += uint64(shed)
-					s.met.shedRecords.Add(uint64(shed))
-				}
-			}
-			n = len(b.Recs)
-			if trace != 0 {
-				// Continue the client's trace: a server.dispatch span parented
-				// under the client.batch root, with the pipeline stamping the
-				// shipped shard batches so apply spans nest beneath it.
-				dispatchSpan := telemetry.NewTraceID()
-				start := time.Now()
-				sess.pl.SetTrace(trace, dispatchSpan)
-				b.Apply(sess.pl)
-				sess.pl.SetTrace(0, 0)
-				s.tracer.RecordSpan(telemetry.SpanRecord{
-					Trace: trace, Span: dispatchSpan, Parent: clientSpan,
-					Name: "server.dispatch", Process: "racedetectd",
-					Dur:  time.Since(start).Nanoseconds(),
-					Args: map[string]any{"session": sess.id, "seq": h.Seq, "recs": n},
-				})
-			} else {
-				b.Apply(sess.pl)
-			}
-			event.PutBatch(b)
+		c, err := wire.DecodeColumnarCols(recs)
+		if err != nil {
+			return sess, out, &protoErr{wire.CodeProtocol, err.Error()}
 		}
+		if s.opts.ShedHighWater > 0 {
+			if shed := s.shedRecords(sess, c); shed > 0 {
+				sess.shed += uint64(shed)
+				s.met.shedRecords.Add(uint64(shed))
+			}
+		}
+		n := c.Len()
+		if trace != 0 {
+			// Continue the client's trace: a server.dispatch span parented
+			// under the client.batch root, with the pipeline stamping the
+			// shipped shard batches so apply spans nest beneath it.
+			dispatchSpan := telemetry.NewTraceID()
+			start := time.Now()
+			sess.pl.SetTrace(trace, dispatchSpan)
+			sess.pl.ApplyCols(c)
+			sess.pl.SetTrace(0, 0)
+			s.tracer.RecordSpan(telemetry.SpanRecord{
+				Trace: trace, Span: dispatchSpan, Parent: clientSpan,
+				Name: "server.dispatch", Process: "racedetectd",
+				Dur:  time.Since(start).Nanoseconds(),
+				Args: map[string]any{"session": sess.id, "seq": h.Seq, "recs": n},
+			})
+		} else {
+			sess.pl.ApplyCols(c)
+		}
+		event.PutCols(c)
 		sess.lastSeq = h.Seq
 		sess.seqApplied.Store(h.Seq)
 		sess.eventsApplied.Add(uint64(n))
@@ -700,18 +657,17 @@ func (s *Server) dispatch(conn net.Conn, sess *session, h wire.Header, payload [
 		if merr != nil {
 			return nil, out, merr
 		}
-		if werr := s.writeFrame(conn, out); werr != nil {
-			// The client never saw the report; keep the session so a
-			// reconnect can resume and retry the Close.
-			return sess, out, werr
-		}
+		// Commit the close before the client can see it: once it holds
+		// the report, /metrics and /sessions must already count it. A
+		// failed write loses nothing — the client resumes and its retried
+		// Close re-delivers the retained frame.
 		s.met.racesTotal.Add(uint64(len(rep.Races)))
 		s.recordRaces(sess.id, rep.Races)
 		s.retireSession(sess, out)
 		s.log.Info("session closed",
 			"session", sess.id, "batches", sess.lastSeq,
 			"events", res.Events, "races", len(rep.Races))
-		return nil, out, nil
+		return nil, out, s.writeFrame(conn, out)
 
 	default:
 		return sess, out, &protoErr{wire.CodeProtocol, fmt.Sprintf("unexpected frame %v", h.Type)}
@@ -752,16 +708,8 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 	if m := detector.ClockMode(hello.Clock); m != detector.ClockGeneral && m != detector.ClockCompact {
 		return nil, ack, &protoErr{wire.CodeBadOptions, fmt.Sprintf("unknown clock mode %d", hello.Clock)}
 	}
-	// Negotiate the batch codec: the client's ceiling capped by this
-	// server's (absent field → the original packed format, so pre-codec
-	// peers interoperate transparently).
-	codec := wire.NegotiateCodec(hello.Codec)
-	if codec > s.opts.MaxCodec {
-		codec = s.opts.MaxCodec
-	}
-	// Trace and provenance grants follow the codec's interop rule: the
-	// client asks, the server grants unless operationally disabled, and
-	// absence on either side means off.
+	// Trace and provenance grants: the client asks, the server grants
+	// unless operationally disabled, and absence on either side means off.
 	traced := hello.Trace && !s.opts.NoTrace
 	prov := hello.Provenance && !s.opts.NoProvenance
 
@@ -780,11 +728,11 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 				// that can only re-deliver the retained report frame.
 				sess := &session{
 					id: hello.Resume, window: cr.window, ackEvery: cr.ackEvery,
-					codec: cr.codec, lastSeq: cr.lastSeq, lastAcked: cr.lastSeq,
+					lastSeq: cr.lastSeq, lastAcked: cr.lastSeq,
 					closedFrame: cr.frame, attached: true,
 				}
 				ack = wire.HelloAck{SessionID: sess.id, Window: cr.window,
-					AckEvery: cr.ackEvery, ResumeSeq: cr.lastSeq, Codec: cr.codec}
+					AckEvery: cr.ackEvery, ResumeSeq: cr.lastSeq}
 				return sess, ack, nil
 			}
 			return nil, ack, &protoErr{wire.CodeNoSession,
@@ -807,11 +755,8 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 		}
 		sess.attached = true
 		sess.conn = conn
-		// A resumed session keeps the codec negotiated at open: the
-		// retained unacked frames the client will replay are encoded in
-		// it, so renegotiating mid-session could misinterpret them.
 		ack = wire.HelloAck{SessionID: sess.id, Window: sess.window, AckEvery: sess.ackEvery,
-			ResumeSeq: sess.lastSeq, Codec: sess.codec, Trace: sess.traced}
+			ResumeSeq: sess.lastSeq, Trace: sess.traced}
 		return sess, ack, nil
 	}
 
@@ -866,7 +811,6 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 		}),
 		window:   window,
 		ackEvery: ackEvery,
-		codec:    codec,
 		traced:   traced,
 		prov:     prov,
 		opened:   time.Now(),
@@ -875,7 +819,7 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 	}
 	s.sessions[sess.id] = sess
 	s.met.sessionsTotal.Inc()
-	ack = wire.HelloAck{SessionID: sess.id, Window: window, AckEvery: ackEvery, Codec: codec, Trace: traced}
+	ack = wire.HelloAck{SessionID: sess.id, Window: window, AckEvery: ackEvery, Trace: traced}
 	return sess, ack, nil
 }
 
@@ -969,7 +913,6 @@ func (s *Server) retireSession(sess *session, reportFrame []byte) {
 		lastSeq:  sess.lastSeq,
 		window:   sess.window,
 		ackEvery: sess.ackEvery,
-		codec:    sess.codec,
 		frame:    append([]byte(nil), reportFrame...),
 	}
 	s.mu.Lock()
@@ -978,7 +921,10 @@ func (s *Server) retireSession(sess *session, reportFrame []byte) {
 		sess.linger.Stop()
 		sess.linger = nil
 	}
-	cr.timer = time.AfterFunc(s.opts.SessionLinger, func() { s.dropClosed(sess.id) })
+	// The timer captures only the id: capturing sess would keep its
+	// pipeline and shard detectors reachable for the whole linger.
+	id := sess.id
+	cr.timer = time.AfterFunc(s.opts.SessionLinger, func() { s.dropClosed(id) })
 	s.closed[sess.id] = cr
 	s.mu.Unlock()
 	s.pruneSessionSeries(sess.id)

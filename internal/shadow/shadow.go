@@ -332,6 +332,39 @@ func (t *Table[T]) SetRange(lo, hi uint64, v T) {
 	}
 }
 
+// ReplaceRange is SetRange restricted to the slots in [lo, hi) that are
+// empty or hold old; a slot holding any other value keeps it.
+func (t *Table[T]) ReplaceRange(lo, hi uint64, old, v T) {
+	var zero T
+	for lo < hi {
+		blockEnd := (lo | blockMask) + 1
+		end := hi
+		if end > blockEnd {
+			end = blockEnd
+		}
+		e := t.findOrCreate(lo >> blockShift)
+		if !e.dense && !aligned(lo, end) {
+			e.expand(t)
+		}
+		step := uint64(4)
+		if e.dense {
+			step = 1
+		}
+		for a := lo; a < end; a += step {
+			i := e.slotIndex(a)
+			switch e.slots[i] {
+			case zero:
+				e.used++
+			case old:
+			default:
+				continue
+			}
+			e.slots[i] = v
+		}
+		lo = end
+	}
+}
+
 // ClearRange erases every slot in [lo, hi), removing entries that become
 // empty (the free() path).
 func (t *Table[T]) ClearRange(lo, hi uint64) {

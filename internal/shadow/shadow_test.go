@@ -29,6 +29,26 @@ func TestSetRangeGet(t *testing.T) {
 	}
 }
 
+func TestReplaceRangeKeepsOtherValues(t *testing.T) {
+	tab := New[*node]()
+	old, other, v := &node{1}, &node{2}, &node{3}
+	tab.SetRange(0x100, 0x108, old)
+	tab.SetRange(0x10c, 0x110, other)
+	tab.ReplaceRange(0x100, 0x118, old, v)
+	for a := uint64(0x100); a < 0x118; a++ {
+		want := v
+		if a >= 0x10c && a < 0x110 {
+			want = other
+		}
+		if got := tab.Get(a); got != want {
+			t.Fatalf("Get(%#x) = %v, want %v", a, got, want)
+		}
+	}
+	if tab.Get(0x118) != nil {
+		t.Error("range bound leaked")
+	}
+}
+
 // Figure 4: word-aligned ranges keep the sparse m/4 indexing array; an
 // unaligned access expands it to m pointers with replication.
 func TestFigure4Expansion(t *testing.T) {

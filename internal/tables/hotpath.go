@@ -42,9 +42,9 @@ type HotpathRow struct {
 	// NsPerEvent is detector apply wall time over the ORIGINAL event
 	// count, so elide-on rows get credit for the work they skip.
 	NsPerEvent float64 `json:"ns_per_event"`
-	// WireBytes is the columnar (codec v2) payload size of the stream the
-	// detector saw, batched at the transport batch size — what a remote
-	// session would put on the wire.
+	// WireBytes is the columnar payload size of the stream the detector
+	// saw, batched at the transport batch size — what a remote session
+	// would put on the wire.
 	WireBytes     uint64  `json:"wire_bytes"`
 	BytesPerEvent float64 `json:"bytes_per_event"`
 	// Races pins losslessness: identical across all four cells of a

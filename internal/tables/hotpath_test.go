@@ -1,6 +1,14 @@
 package tables
 
-import "testing"
+import (
+	"runtime"
+	"runtime/debug"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/workloads"
+)
 
 // TestHotpathBenchGates runs the hot-path lane on its locality anchor and
 // one honest negative and pins the properties BENCH_hotpath.json claims:
@@ -12,10 +20,10 @@ import "testing"
 //     accordingly (both are exact, replay-stable numbers);
 //   - elision only ever shrinks the wire: elide-on bytes <= elide-off
 //     bytes on every workload, including the negatives;
-//   - a coarse timing sanity bound with wide noise headroom: the fully
-//     optimized cell (elide + columnar apply) must not be slower than the
-//     fully unoptimized one (record apply, no elision) on the locality
-//     anchor, where it measures ~0.6x locally.
+//   - a timing sanity bound: the fully optimized cell (elide + columnar
+//     apply) must not be slower than the fully unoptimized one (record
+//     apply, no elision) on the locality anchor, judged on the median of
+//     paired passes (pairedHotpathRatio).
 func TestHotpathBenchGates(t *testing.T) {
 	r := NewRunner(Config{Seed: 42, TimingRuns: 3})
 	rows, err := r.HotpathBench([]string{"streamcluster", "canneal"})
@@ -55,9 +63,52 @@ func TestHotpathBenchGates(t *testing.T) {
 	if raceDetectorOn {
 		return // timing under -race measures the instrumentation, not the code
 	}
-	best := cell("streamcluster", true, "columnar")
-	if best.NsPerEvent > off.NsPerEvent {
-		t.Errorf("streamcluster: optimized hot path slower than baseline: %.1f vs %.1f ns/event",
-			best.NsPerEvent, off.NsPerEvent)
+	ratio := pairedHotpathRatio(t, "streamcluster", hotpathPairs)
+	t.Logf("streamcluster: optimized/baseline median time ratio %.3f over %d paired passes", ratio, hotpathPairs)
+	if ratio > 1 {
+		t.Errorf("streamcluster: optimized hot path slower than baseline: median time ratio %.3f over %d paired passes",
+			ratio, hotpathPairs)
 	}
+}
+
+// hotpathPairs is the number of paired passes behind the timing gate. The
+// two cells differ by a few percent (BENCH_hotpath.json: 45.5 vs 46.9
+// ns/event) while one pass on a shared 2-core host varies by tens of
+// percent. On such a host, 20 repeats of the median ratio spanned
+// 0.943–0.980 at 181 pairs with five test packages running alongside
+// (0.918–0.989 at 61 pairs, standalone); a run takes about 3–5 s.
+const hotpathPairs = 181
+
+// pairedHotpathRatio times the elided stream through the columnar apply
+// against the full stream through the record apply in adjacent passes,
+// alternating which goes first and with the collector off inside a pass,
+// so both halves of a pair see the same host load. It returns the median
+// of the per-pair time ratios (optimized / baseline).
+func pairedHotpathRatio(t *testing.T, prog string, pairs int) float64 {
+	t.Helper()
+	spec, err := workloads.ByName(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := captureStream(spec, 1, 42)
+	elided, _ := elideStream(full)
+	cols := chunkCols(elided)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var base, opt time.Duration
+		runtime.GC()
+		if i%2 == 0 {
+			base, _ = applyStream(full, nil)
+			runtime.GC()
+			opt, _ = applyStream(elided, cols)
+		} else {
+			opt, _ = applyStream(elided, cols)
+			runtime.GC()
+			base, _ = applyStream(full, nil)
+		}
+		ratios[i] = float64(opt) / float64(base)
+	}
+	sort.Float64s(ratios)
+	return ratios[pairs/2]
 }

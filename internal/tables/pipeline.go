@@ -16,16 +16,13 @@ import (
 // powers of two.
 var DefaultPipelineWorkers = []int{0, 1, 2, 4, 8}
 
-// PipelineRow is one (benchmark, worker count, dispatch) cell of the
+// PipelineRow is one (benchmark, worker count) cell of the
 // sharded-pipeline throughput sweep.
 type PipelineRow struct {
 	Program string `json:"program"`
 	// Workers is the detection worker count (0 = serial detector on the
 	// execution thread).
 	Workers int `json:"workers"`
-	// Dispatch is the router→worker transport: "ring" (lock-free SPSC)
-	// or "chan" (buffered-channel baseline); empty for serial rows.
-	Dispatch string `json:"dispatch,omitempty"`
 	// Seconds is the best wall time of the instrumented run, including
 	// draining the workers.
 	Seconds float64 `json:"seconds"`
@@ -35,13 +32,12 @@ type PipelineRow struct {
 	// (Workers = 0) row.
 	Speedup float64 `json:"speedup"`
 	// DispatchWaitP50Ns / DispatchWaitP99Ns are quantile upper bounds of
-	// the router's per-batch blocking time in the transport send — the
-	// number the SPSC ring exists to shrink versus the channel baseline.
+	// the router's per-batch blocking time in the worker-queue send.
 	DispatchWaitP50Ns uint64 `json:"dispatch_wait_p50_ns,omitempty"`
 	DispatchWaitP99Ns uint64 `json:"dispatch_wait_p99_ns,omitempty"`
-	// RingParks counts producer+consumer park events (0 for chan rows:
-	// the baseline transport parks inside the runtime where we cannot
-	// count it).
+	// RingParks counts producer+consumer parks: ships that found a worker
+	// queue full plus worker receives that found it empty
+	// (pipeline_ring_parks_total).
 	RingParks uint64 `json:"ring_parks,omitempty"`
 	// Races is the merged race count — equal across the sweep by the
 	// pipeline's equivalence guarantee, recorded so regressions are visible
@@ -49,21 +45,17 @@ type PipelineRow struct {
 	Races int `json:"races"`
 }
 
-// pipelineDispatches is the transport sweep for Workers > 0 rows.
-var pipelineDispatches = []string{"ring", "chan"}
-
-// pipelineCell measures one (benchmark, workers, dispatch) cell: best
+// pipelineCell measures one (benchmark, workers) cell: best
 // wall time over the configured timing runs, with the dispatch-wait
 // histogram of the final run (the distribution is stable across runs of a
 // deterministic workload; the final run avoids mixing warm-up noise in).
-func (r *Runner) pipelineCell(s workloads.Spec, w int, dispatch string) PipelineRow {
+func (r *Runner) pipelineCell(s workloads.Spec, w int) PipelineRow {
 	prog := s.Build(r.cfg.Scale)
 	opts := race.Options{
 		Tool:        race.FastTrack,
 		Granularity: race.Dynamic,
 		Seed:        r.cfg.Seed,
 		Workers:     w,
-		Dispatch:    dispatch,
 	}
 	var (
 		rep race.Report
@@ -80,11 +72,10 @@ func (r *Runner) pipelineCell(s workloads.Spec, w int, dispatch string) Pipeline
 		times = append(times, rep.Elapsed)
 	}
 	row := PipelineRow{
-		Program:  s.Name,
-		Workers:  w,
-		Dispatch: dispatch,
-		Seconds:  bestDuration(times).Seconds(),
-		Races:    len(rep.Races),
+		Program: s.Name,
+		Workers: w,
+		Seconds: bestDuration(times).Seconds(),
+		Races:   len(rep.Races),
 	}
 	if row.Seconds > 0 {
 		row.EventsPerSec = float64(rep.Run.Events) / row.Seconds
@@ -98,10 +89,9 @@ func (r *Runner) pipelineCell(s workloads.Spec, w int, dispatch string) Pipeline
 	return row
 }
 
-// PipelineBench sweeps worker counts and dispatch transports over the
-// runner's benchmarks at dynamic granularity. Rows are grouped per
-// benchmark in sweep order: the serial row first, then ring and chan rows
-// for each worker count.
+// PipelineBench sweeps worker counts over the runner's benchmarks at
+// dynamic granularity. Rows are grouped per benchmark in sweep order, the
+// serial row first.
 func (r *Runner) PipelineBench(workerCounts []int) []PipelineRow {
 	if len(workerCounts) == 0 {
 		workerCounts = DefaultPipelineWorkers
@@ -110,20 +100,14 @@ func (r *Runner) PipelineBench(workerCounts []int) []PipelineRow {
 	for _, s := range r.specs {
 		serialEPS := 0.0
 		for _, w := range workerCounts {
-			dispatches := pipelineDispatches
+			row := r.pipelineCell(s, w)
 			if w == 0 {
-				dispatches = []string{""}
+				serialEPS = row.EventsPerSec
 			}
-			for _, d := range dispatches {
-				row := r.pipelineCell(s, w, d)
-				if w == 0 {
-					serialEPS = row.EventsPerSec
-				}
-				if serialEPS > 0 {
-					row.Speedup = row.EventsPerSec / serialEPS
-				}
-				rows = append(rows, row)
+			if serialEPS > 0 {
+				row.Speedup = row.EventsPerSec / serialEPS
 			}
+			rows = append(rows, row)
 		}
 	}
 	return rows

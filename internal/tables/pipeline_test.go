@@ -4,19 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/wire"
 )
 
-// TestPipelineBenchRows checks the sweep produces one serial row plus one
-// row per (worker count, dispatch) pair per benchmark, serial rows have
-// speedup 1, and the race count is constant across the sweep (the
-// pipeline's equivalence guarantee).
+// TestPipelineBenchRows checks the sweep produces one row per worker count
+// per benchmark, serial rows have speedup 1, and the race count is
+// constant across the sweep (the pipeline's equivalence guarantee).
 func TestPipelineBenchRows(t *testing.T) {
 	r := NewRunner(Config{Benchmarks: []string{"streamcluster", "pbzip2"}, TimingRuns: 1, Seed: 42})
 	sweep := []int{0, 2, 4}
 	rows := r.PipelineBench(sweep)
-	// One serial row, then ring+chan rows for each non-zero worker count.
-	perSpec := 1 + 2*(len(sweep)-1)
-	if want := len(r.Specs()) * perSpec; len(rows) != want {
+	if want := len(r.Specs()) * len(sweep); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	races := map[string]int{}
@@ -25,22 +24,15 @@ func TestPipelineBenchRows(t *testing.T) {
 			if row.Speedup != 1 {
 				t.Errorf("%s serial row speedup = %v, want 1", row.Program, row.Speedup)
 			}
-			if row.Dispatch != "" {
-				t.Errorf("%s serial row dispatch = %q, want empty", row.Program, row.Dispatch)
-			}
 			races[row.Program] = row.Races
 		} else {
 			if row.Races != races[row.Program] {
-				t.Errorf("%s workers=%d/%s races = %d, serial found %d",
-					row.Program, row.Workers, row.Dispatch, row.Races, races[row.Program])
-			}
-			if row.Dispatch != "ring" && row.Dispatch != "chan" {
-				t.Errorf("%s workers=%d has dispatch %q", row.Program, row.Workers, row.Dispatch)
+				t.Errorf("%s workers=%d races = %d, serial found %d",
+					row.Program, row.Workers, row.Races, races[row.Program])
 			}
 			if row.DispatchWaitP50Ns == 0 || row.DispatchWaitP99Ns < row.DispatchWaitP50Ns {
-				t.Errorf("%s workers=%d/%s dispatch-wait quantiles p50=%d p99=%d",
-					row.Program, row.Workers, row.Dispatch,
-					row.DispatchWaitP50Ns, row.DispatchWaitP99Ns)
+				t.Errorf("%s workers=%d dispatch-wait quantiles p50=%d p99=%d",
+					row.Program, row.Workers, row.DispatchWaitP50Ns, row.DispatchWaitP99Ns)
 			}
 		}
 		if row.Seconds <= 0 || row.EventsPerSec <= 0 {
@@ -65,37 +57,31 @@ func TestWritePipelineJSON(t *testing.T) {
 	if doc.Config.Seed != 42 || doc.Config.GOMAXPROCS < 1 {
 		t.Fatalf("bad config header: %+v", doc.Config)
 	}
-	if len(doc.Rows) != 3 { // serial + workers=2 ring + workers=2 chan
-		t.Fatalf("got %d rows, want 3", len(doc.Rows))
+	if len(doc.Rows) != 2 { // serial + workers=2
+		t.Fatalf("got %d rows, want 2", len(doc.Rows))
 	}
 }
 
 // TestWireCodecBenchCompression is the bench-smoke regression gate for the
 // columnar codec: on the realistic locality stream at the default batch
-// size, the v2 frame must be at least 4x smaller than the packed v1 frame
-// of the same batch (the tentpole's acceptance bar), and every row's
+// size, the frame must be at least 4x smaller than the same batch framed
+// at fixed width (HeaderSize + 2048 x wire.RecSize bytes), and the row's
 // throughputs must be populated.
 func TestWireCodecBenchCompression(t *testing.T) {
 	rows := WireCodecBench([]int{2048})
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want v1 and v2", len(rows))
+	if len(rows) != 1 || rows[0].BatchRecs != 2048 {
+		t.Fatalf("got rows %+v, want one 2048-record row", rows)
 	}
-	byCodec := map[string]WireCodecRow{}
-	for _, row := range rows {
-		byCodec[row.Codec] = row
-		if row.EncodeEventsPerSec <= 0 || row.DecodeEventsPerSec <= 0 {
-			t.Errorf("%s: non-positive throughput %+v", row.Codec, row)
-		}
+	row := rows[0]
+	if row.EncodeEventsPerSec <= 0 || row.DecodeEventsPerSec <= 0 {
+		t.Errorf("non-positive throughput %+v", row)
 	}
-	v1, v2 := byCodec["v1"], byCodec["v2"]
-	if v1.BatchRecs != 2048 || v2.BatchRecs != 2048 {
-		t.Fatalf("rows not keyed by codec: %+v", rows)
+	fixed := wire.HeaderSize + row.BatchRecs*wire.RecSize
+	if 4*row.FrameBytes > fixed {
+		t.Errorf("columnar frame %d B vs fixed width %d B: less than the promised 4x (%.2f B/event)",
+			row.FrameBytes, fixed, row.BytesPerEvent)
 	}
-	if v1.VsPacked != 1 {
-		t.Errorf("v1 vs_packed = %v, want 1", v1.VsPacked)
-	}
-	if 4*v2.FrameBytes > v1.FrameBytes {
-		t.Errorf("columnar frame %d B vs packed %d B: less than the promised 4x (%.2f B/event)",
-			v2.FrameBytes, v1.FrameBytes, v2.BytesPerEvent)
+	if want := float64(row.FrameBytes) / float64(fixed); row.VsFixedWidth != want {
+		t.Errorf("vs_fixed_width = %v, want %v", row.VsFixedWidth, want)
 	}
 }

@@ -23,25 +23,19 @@ import (
 // default, and a large batch (payload throughput dominates).
 var DefaultWireBatchSizes = []int{64, event.DefaultBatchSize, 8192}
 
-// wireCodecs is the codec sweep: every row of the micro-bench and the
-// loopback bench is measured once per negotiated codec.
-var wireCodecs = []int{wire.CodecPacked, wire.CodecColumnar}
-
-// WireCodecRow is one (codec, batch size) cell of the encode/decode
-// micro-bench: how fast a batch can be framed and how fast a frame can be
-// decoded back into a pooled batch, with no network or detector in the
-// path.
+// WireCodecRow is one batch-size cell of the encode/decode micro-bench:
+// how fast a batch can be framed and how fast a frame can be decoded back
+// into a pooled columnar batch, with no network or detector in the path.
 type WireCodecRow struct {
-	Codec         string  `json:"codec"`
 	BatchRecs     int     `json:"batch_recs"`
 	FrameBytes    int     `json:"frame_bytes"`
 	BytesPerEvent float64 `json:"bytes_per_event"`
-	// VsPacked is this row's frame size relative to the packed (v1)
-	// encoding of the same batch — the compression factor the columnar
-	// codec buys (1.0 for v1 rows by construction).
-	VsPacked float64 `json:"vs_packed"`
+	// VsFixedWidth is the frame size relative to the same batch framed at
+	// fixed width (HeaderSize + records × wire.RecSize) — the compression
+	// factor the columnar encoding buys.
+	VsFixedWidth float64 `json:"vs_fixed_width"`
 	// EncodeEventsPerSec / DecodeEventsPerSec are record throughputs of
-	// AppendBatchFrameCodec and ReadFrame+DecodeBatchCodec respectively.
+	// AppendBatchFrame and DecodeColumnarCols respectively.
 	EncodeEventsPerSec float64 `json:"encode_events_per_sec"`
 	DecodeEventsPerSec float64 `json:"decode_events_per_sec"`
 	EncodeMBPerSec     float64 `json:"encode_mb_per_sec"`
@@ -111,69 +105,63 @@ func wireBenchRecs(n int, seed int64) []event.Rec {
 }
 
 // WireCodecBench measures frame encode and decode throughput for each
-// (codec, batch size) pair, without touching the network.
+// batch size, without touching the network.
 func WireCodecBench(batchSizes []int) []WireCodecRow {
 	if len(batchSizes) == 0 {
 		batchSizes = DefaultWireBatchSizes
 	}
 	const target = 50 * time.Millisecond
-	rows := make([]WireCodecRow, 0, len(wireCodecs)*len(batchSizes))
+	rows := make([]WireCodecRow, 0, len(batchSizes))
 	for _, n := range batchSizes {
 		b := &event.Batch{Recs: wireBenchRecs(n, int64(n))}
 		h := wire.Header{Session: 1}
-		packedLen := len(wire.AppendBatchFrameCodec(nil, h, b, wire.CodecPacked))
-		for _, codec := range wireCodecs {
-			frame := wire.AppendBatchFrameCodec(nil, h, b, codec)
+		frame := wire.AppendBatchFrame(nil, h, b)
 
-			// Encode: reuse the buffer, as the client's flush path does.
-			buf := frame[:0]
-			iters, elapsed := 0, time.Duration(0)
-			for start := time.Now(); elapsed < target; elapsed = time.Since(start) {
-				buf = wire.AppendBatchFrameCodec(buf[:0], h, b, codec)
-				iters++
-			}
-			encEPS := float64(iters) * float64(n) / elapsed.Seconds()
-
-			// Decode: batch decode into a pooled batch, as the server's
-			// ingest path does.
-			payload := frame[wire.HeaderSize:]
-			iters, elapsed = 0, 0
-			for start := time.Now(); elapsed < target; elapsed = time.Since(start) {
-				got, err := wire.DecodeBatchCodec(payload, codec)
-				if err != nil {
-					panic(err)
-				}
-				event.PutBatch(got)
-				iters++
-			}
-			decEPS := float64(iters) * float64(n) / elapsed.Seconds()
-
-			perEvent := float64(len(frame)) / float64(n)
-			rows = append(rows, WireCodecRow{
-				Codec:              wire.CodecName(codec),
-				BatchRecs:          n,
-				FrameBytes:         len(frame),
-				BytesPerEvent:      perEvent,
-				VsPacked:           float64(len(frame)) / float64(packedLen),
-				EncodeEventsPerSec: encEPS,
-				DecodeEventsPerSec: decEPS,
-				EncodeMBPerSec:     encEPS * perEvent / (1 << 20),
-				DecodeMBPerSec:     decEPS * perEvent / (1 << 20),
-			})
+		// Encode: reuse the buffer, as the client's flush path does.
+		buf := frame[:0]
+		iters, elapsed := 0, time.Duration(0)
+		for start := time.Now(); elapsed < target; elapsed = time.Since(start) {
+			buf = wire.AppendBatchFrame(buf[:0], h, b)
+			iters++
 		}
+		encEPS := float64(iters) * float64(n) / elapsed.Seconds()
+
+		// Decode: into a pooled columnar batch, as the server's ingest
+		// path does.
+		payload := frame[wire.HeaderSize:]
+		iters, elapsed = 0, 0
+		for start := time.Now(); elapsed < target; elapsed = time.Since(start) {
+			got, err := wire.DecodeColumnarCols(payload)
+			if err != nil {
+				panic(err)
+			}
+			event.PutCols(got)
+			iters++
+		}
+		decEPS := float64(iters) * float64(n) / elapsed.Seconds()
+
+		perEvent := float64(len(frame)) / float64(n)
+		rows = append(rows, WireCodecRow{
+			BatchRecs:          n,
+			FrameBytes:         len(frame),
+			BytesPerEvent:      perEvent,
+			VsFixedWidth:       float64(len(frame)) / float64(wire.HeaderSize+n*wire.RecSize),
+			EncodeEventsPerSec: encEPS,
+			DecodeEventsPerSec: decEPS,
+			EncodeMBPerSec:     encEPS * perEvent / (1 << 20),
+			DecodeMBPerSec:     decEPS * perEvent / (1 << 20),
+		})
 	}
 	return rows
 }
 
 // RemoteRow compares one benchmark run in-process against the same run
-// streamed to a loopback racedetectd under one codec: the Overhead column
-// is the cost of the wire protocol plus a process-boundary detector
-// (lower bound, since loopback has no real network latency), and
-// WireBytesPerEvent is the measured payload cost of the negotiated codec
-// on the workload's real event stream.
+// streamed to a loopback racedetectd: the Overhead column is the cost of
+// the wire protocol plus a process-boundary detector (lower bound, since
+// loopback has no real network latency), and WireBytesPerEvent is the
+// measured payload cost on the workload's real event stream.
 type RemoteRow struct {
 	Program       string  `json:"program"`
-	Codec         string  `json:"codec"`
 	LocalSeconds  float64 `json:"local_seconds"`
 	RemoteSeconds float64 `json:"remote_seconds"`
 	// Overhead is RemoteSeconds / LocalSeconds for the same seed and
@@ -182,14 +170,14 @@ type RemoteRow struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 	Batches      uint64  `json:"batches"`
 	// WireBytesPerEvent is batch payload bytes on the wire divided by
-	// records streamed (37.0 for v1 by construction).
+	// records streamed.
 	WireBytesPerEvent float64 `json:"wire_bytes_per_event"`
 	Races             int     `json:"races"`
 }
 
 // RemoteBench runs the runner's benchmarks at dynamic granularity through
-// a loopback detection server once per codec — plus the in-process
-// reference — and reports the remote overhead and on-wire cost. The
+// a loopback detection server — plus the in-process reference — and
+// reports the remote overhead and on-wire cost. The
 // loopback server lives for the duration of the sweep.
 func (r *Runner) RemoteBench() ([]RemoteRow, error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -211,52 +199,47 @@ func (r *Runner) RemoteBench() ([]RemoteRow, error) {
 	for _, s := range r.specs {
 		local := r.Report(s, race.Options{Granularity: race.Dynamic})
 		prog := s.Build(r.cfg.Scale)
-		for _, codec := range wireCodecs {
-			var (
-				remote race.Report
-				reg    *telemetry.Registry
-			)
-			times := make([]time.Duration, 0, r.cfg.TimingRuns)
-			for i := 0; i < r.cfg.TimingRuns; i++ {
-				runtime.GC()
-				reg = telemetry.New()
-				remote, err = race.RunE(prog, race.Options{
-					Granularity: race.Dynamic, Seed: r.cfg.Seed,
-					Workers: 2, Remote: addr,
-					Codec: wire.CodecName(codec), Telemetry: reg,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s: remote run: %w", s.Name, wire.CodecName(codec), err)
-				}
-				times = append(times, remote.Elapsed)
+		var (
+			remote race.Report
+			reg    *telemetry.Registry
+		)
+		times := make([]time.Duration, 0, r.cfg.TimingRuns)
+		for i := 0; i < r.cfg.TimingRuns; i++ {
+			runtime.GC()
+			reg = telemetry.New()
+			remote, err = race.RunE(prog, race.Options{
+				Granularity: race.Dynamic, Seed: r.cfg.Seed,
+				Workers: 2, Remote: addr, Telemetry: reg,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("%s: remote run: %w", s.Name, err)
 			}
-			row := RemoteRow{
-				Program:      s.Name,
-				Codec:        wire.CodecName(codec),
-				LocalSeconds: local.Elapsed.Seconds(),
-				Batches:      reg.CounterValue("client_batches_total"),
-				Races:        len(remote.Races),
-			}
-			row.RemoteSeconds = bestDuration(times).Seconds()
-			if row.LocalSeconds > 0 {
-				row.Overhead = row.RemoteSeconds / row.LocalSeconds
-			}
-			if row.RemoteSeconds > 0 {
-				row.EventsPerSec = float64(remote.Run.Events) / row.RemoteSeconds
-			}
-			if events := reg.CounterValue("client_events_total"); events > 0 {
-				row.WireBytesPerEvent =
-					float64(reg.CounterValue("wire_payload_bytes_total")) / float64(events)
-			}
-			rows = append(rows, row)
+			times = append(times, remote.Elapsed)
 		}
+		row := RemoteRow{
+			Program:      s.Name,
+			LocalSeconds: local.Elapsed.Seconds(),
+			Batches:      reg.CounterValue("client_batches_total"),
+			Races:        len(remote.Races),
+		}
+		row.RemoteSeconds = bestDuration(times).Seconds()
+		if row.LocalSeconds > 0 {
+			row.Overhead = row.RemoteSeconds / row.LocalSeconds
+		}
+		if row.RemoteSeconds > 0 {
+			row.EventsPerSec = float64(remote.Run.Events) / row.RemoteSeconds
+		}
+		if events := reg.CounterValue("client_events_total"); events > 0 {
+			row.WireBytesPerEvent =
+				float64(reg.CounterValue("wire_payload_bytes_total")) / float64(events)
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
 // WireBenchJSON is the machine-readable BENCH_wire.json document: the
-// codec micro-bench plus the loopback remote-overhead sweep, both
-// measured per codec.
+// codec micro-bench plus the loopback remote-overhead sweep.
 type WireBenchJSON struct {
 	Config struct {
 		Scale      int   `json:"scale"`

@@ -375,6 +375,9 @@ func (r *Registry) Prune(keep func(name string, labels Labels) bool) {
 			removed++
 		}
 	}
+	// Nil the vacated tail: a pruned series (and whatever its gauge func
+	// closes over) must not stay reachable through the backing array.
+	clear(c.ordered[len(kept):])
 	c.ordered = kept
 	c.mu.Unlock()
 	dropped.Add(removed)

@@ -1,6 +1,6 @@
-// Columnar codec (wire codec 2): a delta-varint, column-transposed
-// encoding of event batches that exploits the same locality the paper's
-// dynamic granularity exploits for clock sharing. Consecutive events of a
+// Columnar batch encoding: a delta-varint, column-transposed encoding of
+// event batches that exploits the same locality the paper's dynamic
+// granularity exploits for clock sharing. Consecutive events of a
 // real execution overwhelmingly share their thread (the scheduler runs one
 // thread for a whole quantum), repeat a small set of code sites, and walk
 // addresses in small strides — so transposing a batch into per-field
@@ -17,16 +17,9 @@
 //
 // The payload opens with a varint record count; columns follow in the
 // order above and must consume the payload exactly. A typical access
-// record costs 4–6 bytes against the packed codec's fixed 37 (ops and
+// record costs 4–6 bytes against its fixed-width RecSize of 37 (ops and
 // tids amortize to fractions of a byte, the addr delta is 1–2 bytes, and
 // constant sizes / repeated PCs / zero aux / +1 seq are one byte each).
-//
-// Codec choice is a property of the session, not the frame: Hello/HelloAck
-// negotiate it once (see Hello.Codec) and every Batch frame of the session
-// uses the granted codec. Keeping the frame header codec-free means a
-// corrupted header byte can never switch the decoder onto the wrong
-// format — the CRC already guards the payload, and the session state
-// guards its interpretation.
 //
 // Deltas are computed in uint64 with wraparound, so every field value is
 // representable and encode∘decode is the identity for arbitrary records,
@@ -36,49 +29,11 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/vc"
 )
-
-// Codec identifiers negotiated in Hello/HelloAck. CodecPacked is the
-// protocol's original fixed 37-byte record array; CodecColumnar is the
-// delta-varint columnar format. Peers that predate negotiation send no
-// codec field, which NegotiateCodec maps to CodecPacked — old client ×
-// new server and new client × old server both fall back transparently.
-const (
-	CodecPacked   = 1
-	CodecColumnar = 2
-
-	// CodecMax is the highest codec this build speaks.
-	CodecMax = CodecColumnar
-)
-
-// CodecName returns the stable label used in metrics and flags ("v1",
-// "v2").
-func CodecName(codec int) string {
-	switch codec {
-	case CodecPacked:
-		return "v1"
-	case CodecColumnar:
-		return "v2"
-	default:
-		return fmt.Sprintf("codec(%d)", codec)
-	}
-}
-
-// NegotiateCodec maps a peer's requested codec ceiling onto the codec this
-// build grants: the minimum of the two ceilings, with 0 (a peer that never
-// heard of codecs) meaning the original packed format.
-func NegotiateCodec(requested int) int {
-	if requested <= 0 {
-		return CodecPacked
-	}
-	if requested > CodecMax {
-		return CodecMax
-	}
-	return requested
-}
 
 // errColumnar is the base decode error; call sites wrap it with position
 // detail (the error path is cold, the happy path allocates nothing).
@@ -205,10 +160,27 @@ func (r *colReader) uvarint() (uint64, error) {
 	return 0, fmt.Errorf("%w: truncated varint at offset %d", errColumnar, r.off)
 }
 
-// DecodeColumnarInto decodes a columnar payload into b (appending to
-// b.Recs). The payload must parse exactly: every column must cover every
-// record, op codes must be valid, and no bytes may trail the last column.
-func DecodeColumnarInto(payload []byte, b *event.Batch) error {
+// AppendBatchFrame encodes b's records as a columnar Batch frame appended
+// to dst. The frame's sequence number is h.Seq (the caller's batch
+// counter); the records' own Seq fields ride along inside the payload so a
+// decoded batch is bit-identical to the encoded one.
+func AppendBatchFrame(dst []byte, h Header, b *event.Batch) []byte {
+	h.Type = TypeBatch
+	off := len(dst)
+	dst = append(dst, make([]byte, HeaderSize)...)
+	dst = AppendColumnar(dst, b.Recs)
+	payload := dst[off+HeaderSize:]
+	putHeader(dst[off:], h, uint32(len(payload)), checksum(payload))
+	return dst
+}
+
+// DecodeColumnarColsInto decodes a columnar payload into c, appending to
+// its columns. The payload is column-major already, so each column section
+// streams into one contiguous slice. The payload must parse exactly: every
+// column must cover every record, op codes must be valid, and no bytes may
+// trail the last column. On any error c is rewound to its length at entry,
+// so a pooled Cols is never recycled with partial records in it.
+func DecodeColumnarColsInto(payload []byte, c *event.Cols) error {
 	r := colReader{p: payload}
 	n64, err := r.uvarint()
 	if err != nil {
@@ -217,7 +189,7 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 	if n64 > uint64(len(payload)) {
 		// Every record costs at least 5 payload bytes (one per per-record
 		// column), so a count beyond the payload length is a lie; rejecting
-		// it here bounds the batch allocation by the frame size.
+		// it here bounds the allocation by the frame size.
 		return fmt.Errorf("%w: record count %d exceeds payload length %d", errColumnar, n64, len(payload))
 	}
 	n := int(n64)
@@ -227,18 +199,20 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 		}
 		return nil
 	}
-	base := len(b.Recs)
-	if need := base + n; cap(b.Recs) < need {
-		grown := make([]event.Rec, base, need)
-		copy(grown, b.Recs)
-		b.Recs = grown
-	}
-	recs := b.Recs[base : base+n]
+	base := c.Len()
+	c.Ops = slices.Grow(c.Ops, n)[:base+n]
+	c.Tids = slices.Grow(c.Tids, n)[:base+n]
+	c.Sizes = slices.Grow(c.Sizes, n)[:base+n]
+	c.PCs = slices.Grow(c.PCs, n)[:base+n]
+	c.Addrs = slices.Grow(c.Addrs, n)[:base+n]
+	c.Auxs = slices.Grow(c.Auxs, n)[:base+n]
+	c.Seqs = slices.Grow(c.Seqs, n)[:base+n]
 	fail := func(err error) error {
-		b.Recs = b.Recs[:base]
+		c.Truncate(base)
 		return err
 	}
 	// ops: run length.
+	ops := c.Ops[base:]
 	for i := 0; i < n; {
 		if r.off >= len(r.p) {
 			return fail(fmt.Errorf("%w: truncated op column", errColumnar))
@@ -256,11 +230,12 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 			return fail(fmt.Errorf("%w: op run %d overflows %d remaining records", errColumnar, run, n-i))
 		}
 		for j := 0; j < int(run); j++ {
-			recs[i+j].Op = op
+			ops[i+j] = op
 		}
 		i += int(run)
 	}
 	// tids: run length.
+	tids := c.Tids[base:]
 	for i := 0; i < n; {
 		tv, err := r.uvarint()
 		if err != nil {
@@ -275,11 +250,12 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 			return fail(fmt.Errorf("%w: tid run %d overflows %d remaining records", errColumnar, run, n-i))
 		}
 		for j := 0; j < int(run); j++ {
-			recs[i+j].Tid = tid
+			tids[i+j] = tid
 		}
 		i += int(run)
 	}
 	// addrs: zigzag delta.
+	addrs := c.Addrs[base:]
 	var prev uint64
 	for i := 0; i < n; i++ {
 		d, err := r.uvarint()
@@ -287,9 +263,10 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 			return fail(err)
 		}
 		prev += uint64(unzigzag(d))
-		recs[i].Addr = prev
+		addrs[i] = prev
 	}
 	// sizes.
+	sizes := c.Sizes[base:]
 	for i := 0; i < n; i++ {
 		s, err := r.uvarint()
 		if err != nil {
@@ -298,9 +275,10 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 		if s > 0xffffffff {
 			return fail(fmt.Errorf("%w: size %d overflows uint32", errColumnar, s))
 		}
-		recs[i].Size = uint32(s)
+		sizes[i] = uint32(s)
 	}
 	// pcs: zigzag delta.
+	pcs := c.PCs[base:]
 	prev = 0
 	for i := 0; i < n; i++ {
 		d, err := r.uvarint()
@@ -311,9 +289,10 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 		if prev > 0xffffffff {
 			return fail(fmt.Errorf("%w: pc %d overflows uint32", errColumnar, prev))
 		}
-		recs[i].PC = event.PC(prev)
+		pcs[i] = event.PC(prev)
 	}
 	// aux: zigzag delta.
+	auxs := c.Auxs[base:]
 	prev = 0
 	for i := 0; i < n; i++ {
 		d, err := r.uvarint()
@@ -321,9 +300,10 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 			return fail(err)
 		}
 		prev += uint64(unzigzag(d))
-		recs[i].Aux = prev
+		auxs[i] = prev
 	}
 	// seqs: zigzag delta.
+	seqs := c.Seqs[base:]
 	prev = 0
 	for i := 0; i < n; i++ {
 		d, err := r.uvarint()
@@ -331,45 +311,22 @@ func DecodeColumnarInto(payload []byte, b *event.Batch) error {
 			return fail(err)
 		}
 		prev += uint64(unzigzag(d))
-		recs[i].Seq = prev
+		seqs[i] = prev
 	}
 	if r.off != len(payload) {
 		return fail(fmt.Errorf("%w: %d trailing bytes", errColumnar, len(payload)-r.off))
 	}
-	b.Recs = b.Recs[:base+n]
 	return nil
 }
 
-// AppendBatchFrameCodec encodes b's records as a Batch frame in the given
-// session codec. CodecPacked reproduces AppendBatchFrame byte for byte.
-func AppendBatchFrameCodec(dst []byte, h Header, b *event.Batch, codec int) []byte {
-	if codec != CodecColumnar {
-		return AppendBatchFrame(dst, h, b)
-	}
-	h.Type = TypeBatch
-	off := len(dst)
-	dst = append(dst, make([]byte, HeaderSize)...)
-	dst = AppendColumnar(dst, b.Recs)
-	payload := dst[off+HeaderSize:]
-	putHeader(dst[off:], h, uint32(len(payload)), checksum(payload))
-	return dst
-}
-
-// DecodeBatchCodecInto decodes a Batch payload in the session's codec.
-func DecodeBatchCodecInto(payload []byte, b *event.Batch, codec int) error {
-	if codec == CodecColumnar {
-		return DecodeColumnarInto(payload, b)
-	}
-	return DecodeBatchInto(payload, b)
-}
-
-// DecodeBatchCodec decodes a Batch payload in the session's codec into a
-// pooled batch; the caller returns it with event.PutBatch.
-func DecodeBatchCodec(payload []byte, codec int) (*event.Batch, error) {
-	b := event.GetBatch()
-	if err := DecodeBatchCodecInto(payload, b, codec); err != nil {
-		event.PutBatch(b)
+// DecodeColumnarCols decodes a columnar payload into a pooled columnar
+// batch; the caller returns it with event.PutCols. On error the pooled
+// batch is returned to its pool here — decode failures never leak.
+func DecodeColumnarCols(payload []byte) (*event.Cols, error) {
+	c := event.GetCols()
+	if err := DecodeColumnarColsInto(payload, c); err != nil {
+		event.PutCols(c)
 		return nil, err
 	}
-	return b, nil
+	return c, nil
 }

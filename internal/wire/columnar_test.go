@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -32,8 +33,10 @@ func streamRecs(n int) []event.Rec {
 	return recs
 }
 
-func TestColumnarRoundTrip(t *testing.T) {
-	cases := map[string][]event.Rec{
+// columnarCases are the round-trip inputs: nothing, one record, a
+// locality-shaped stream, and every field at its extremes.
+func columnarCases() map[string][]event.Rec {
+	return map[string][]event.Rec{
 		"empty":  nil,
 		"single": {{Op: event.OpWrite, Tid: 3, Addr: 0xdeadbeef, Size: 4, PC: 17, Seq: 1}},
 		"stream": streamRecs(2048),
@@ -43,18 +46,50 @@ func TestColumnarRoundTrip(t *testing.T) {
 			{Op: event.OpRead, Tid: math.MinInt32, Addr: 1, Size: math.MaxUint32, PC: math.MaxUint32, Seq: 9},
 		},
 	}
-	for name, recs := range cases {
+}
+
+func TestColumnarRoundTrip(t *testing.T) {
+	for name, recs := range columnarCases() {
 		t.Run(name, func(t *testing.T) {
 			payload := AppendColumnar(nil, recs)
-			var got event.Batch
-			if err := DecodeColumnarInto(payload, &got); err != nil {
+			c, err := DecodeColumnarCols(payload)
+			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if len(got.Recs) != len(recs) {
-				t.Fatalf("decoded %d records, want %d", len(got.Recs), len(recs))
+			defer event.PutCols(c)
+			if c.Len() != len(recs) {
+				t.Fatalf("decoded %d records, want %d", c.Len(), len(recs))
 			}
-			if len(recs) > 0 && !reflect.DeepEqual(got.Recs, recs) {
-				t.Fatalf("round trip mismatch")
+			for i, want := range recs {
+				if got := c.Rec(i); got != want {
+					t.Fatalf("record %d = %+v, want %+v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestColsDecodeMatchesRecordDecode checks the column-major decoder
+// against the record-at-a-time build of the same batch: decoding onto a
+// Cols that already holds a record must leave every column exactly as
+// appending the source records one by one would.
+func TestColsDecodeMatchesRecordDecode(t *testing.T) {
+	lead := event.Rec{Op: event.OpAcquire, Tid: 7, Addr: 0x40, Seq: 1}
+	for name, recs := range columnarCases() {
+		t.Run(name, func(t *testing.T) {
+			want := &event.Cols{}
+			want.Append(lead)
+			for _, r := range recs {
+				want.Append(r)
+			}
+			got := &event.Cols{}
+			got.Append(lead)
+			if err := DecodeColumnarColsInto(AppendColumnar(nil, recs), got); err != nil {
+				t.Fatalf("cols decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoded columns differ from the record-by-record build (%d vs %d records)",
+					got.Len(), want.Len())
 			}
 		})
 	}
@@ -62,7 +97,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 func TestColumnarFrameRoundTrip(t *testing.T) {
 	b := &event.Batch{Recs: streamRecs(500)}
-	frame := AppendBatchFrameCodec(nil, Header{Session: 42, Seq: 9}, b, CodecColumnar)
+	frame := AppendBatchFrame(nil, Header{Session: 42, Seq: 9}, b)
 	h, payload, err := NewReader(bytes.NewReader(frame), 0).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
@@ -70,150 +105,206 @@ func TestColumnarFrameRoundTrip(t *testing.T) {
 	if h.Type != TypeBatch || h.Session != 42 || h.Seq != 9 {
 		t.Fatalf("header mangled: %+v", h)
 	}
-	got, err := DecodeBatchCodec(payload, CodecColumnar)
+	got, err := DecodeColumnarCols(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer event.PutBatch(got)
-	if !reflect.DeepEqual(got.Recs, b.Recs) {
+	defer event.PutCols(got)
+	if !reflect.DeepEqual(colsRecs(got), b.Recs) {
 		t.Fatal("frame round trip mismatch")
 	}
 }
 
-// TestPackedCodecUnchanged pins that CodecPacked through the codec-aware
-// entry points is byte-identical to the original v1 framing — the
-// compatibility contract a forced-v1 session depends on.
-func TestPackedCodecUnchanged(t *testing.T) {
-	b := &event.Batch{Recs: streamRecs(100)}
-	h := Header{Session: 7, Seq: 3}
-	v1 := AppendBatchFrame(nil, h, b)
-	viaCodec := AppendBatchFrameCodec(nil, h, b, CodecPacked)
-	if !bytes.Equal(v1, viaCodec) {
-		t.Fatal("AppendBatchFrameCodec(CodecPacked) is not byte-identical to AppendBatchFrame")
-	}
-	got, err := DecodeBatchCodec(v1[HeaderSize:], CodecPacked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer event.PutBatch(got)
-	if !reflect.DeepEqual(got.Recs, b.Recs) {
-		t.Fatal("packed decode mismatch")
-	}
-}
-
-func TestNegotiateCodec(t *testing.T) {
-	cases := []struct{ req, want int }{
-		{0, CodecPacked},   // pre-codec peer
-		{-3, CodecPacked},  // nonsense
-		{1, CodecPacked},   // forced v1
-		{2, CodecColumnar}, // current
-		{99, CodecMax},     // future peer: capped at what this build speaks
-	}
-	for _, c := range cases {
-		if got := NegotiateCodec(c.req); got != c.want {
-			t.Errorf("NegotiateCodec(%d) = %d, want %d", c.req, got, c.want)
-		}
-	}
-	if CodecName(CodecPacked) != "v1" || CodecName(CodecColumnar) != "v2" {
-		t.Error("codec names drifted from the v1/v2 labels metrics and flags use")
-	}
-}
-
-// TestColumnarRejectsMalformed drives the decoder over targeted
-// corruptions; none may decode, and none may panic.
-func TestColumnarRejectsMalformed(t *testing.T) {
-	recs := streamRecs(32)
-	payload := AppendColumnar(nil, recs)
-
-	t.Run("truncations", func(t *testing.T) {
-		for cut := 0; cut < len(payload); cut++ {
-			var b event.Batch
-			if err := DecodeColumnarInto(payload[:cut], &b); err == nil {
-				t.Fatalf("truncation at %d of %d accepted", cut, len(payload))
-			}
-			if len(b.Recs) != 0 {
-				t.Fatalf("failed decode left %d partial records", len(b.Recs))
-			}
-		}
-	})
-	t.Run("trailing-bytes", func(t *testing.T) {
-		var b event.Batch
-		if err := DecodeColumnarInto(append(append([]byte{}, payload...), 0), &b); err == nil {
-			t.Fatal("trailing byte accepted")
-		}
-	})
-	t.Run("lying-count", func(t *testing.T) {
-		var b event.Batch
-		// Claim 2^40 records in a short payload: must be rejected before
-		// any allocation is sized from the count.
-		lie := appendUvarint(nil, 1<<40)
-		if err := DecodeColumnarInto(lie, &b); err == nil {
-			t.Fatal("absurd record count accepted")
-		}
-	})
-	t.Run("bad-op", func(t *testing.T) {
-		bad := AppendColumnar(nil, recs[:1])
-		// Payload: count varint (1 byte) then the op byte.
-		bad[1] = byte(MaxOp) + 1
-		var b event.Batch
-		if err := DecodeColumnarInto(bad, &b); err == nil {
-			t.Fatal("unknown op accepted")
-		}
-	})
-	t.Run("run-overflow", func(t *testing.T) {
-		// count=1, op run claims 2 records.
-		bad := []byte{1, byte(event.OpRead), 2}
-		var b event.Batch
-		if err := DecodeColumnarInto(bad, &b); err == nil {
-			t.Fatal("op run past record count accepted")
-		}
-	})
-}
-
-// TestColumnarZeroAlloc pins the codec's steady-state allocation budget:
-// with reused buffers and pooled batches, encode and decode of a full
-// batch allocate nothing.
+// TestColumnarZeroAlloc pins the encoder's steady-state allocation
+// budget: with a reused buffer, framing a full batch allocates nothing
+// (TestColsDecodeZeroAlloc pins the decode side).
 func TestColumnarZeroAlloc(t *testing.T) {
-	recs := streamRecs(event.DefaultBatchSize)
-	src := &event.Batch{Recs: recs}
-	buf := AppendBatchFrameCodec(nil, Header{Session: 1}, src, CodecColumnar)
-	payload := append([]byte(nil), buf[HeaderSize:]...)
-	dst := event.GetBatch()
-	defer event.PutBatch(dst)
-
+	src := &event.Batch{Recs: streamRecs(event.DefaultBatchSize)}
+	buf := AppendBatchFrame(nil, Header{Session: 1}, src)
 	if got := testing.AllocsPerRun(50, func() {
-		buf = AppendBatchFrameCodec(buf[:0], Header{Session: 1}, src, CodecColumnar)
+		buf = AppendBatchFrame(buf[:0], Header{Session: 1}, src)
 	}); got != 0 {
 		t.Errorf("columnar encode: %v allocs/run, want 0", got)
-	}
-	if got := testing.AllocsPerRun(50, func() {
-		dst.Recs = dst.Recs[:0]
-		if err := DecodeColumnarInto(payload, dst); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("columnar decode: %v allocs/run, want 0", got)
 	}
 }
 
 // MaxColumnarBytesPerRecord is the committed regression threshold for the
 // columnar codec on a locality-typical stream (CI fails if the encoding
-// regresses above it). The packed codec costs a fixed 37 bytes per
-// record; the columnar codec's budget is ≤ 7 — comfortably past the ≥4×
-// reduction this transport promises, with headroom over the ~4.5 B/record
-// the current encoder achieves so byte-level tweaks don't flake the gate.
+// regresses above it). A record at fixed width costs RecSize (37) bytes;
+// the columnar codec's budget is ≤ 7 — comfortably past the ≥4× reduction
+// this transport promises, with headroom over the ~4.5 B/record the
+// current encoder achieves so byte-level tweaks don't flake the gate.
 const MaxColumnarBytesPerRecord = 7.0
 
 func TestColumnarBytesPerRecordThreshold(t *testing.T) {
 	recs := streamRecs(event.DefaultBatchSize)
 	payload := AppendColumnar(nil, recs)
 	got := float64(len(payload)) / float64(len(recs))
-	t.Logf("columnar: %.2f bytes/record (packed: %d)", got, RecSize)
+	t.Logf("columnar: %.2f bytes/record (fixed width: %d)", got, RecSize)
 	if got > MaxColumnarBytesPerRecord {
 		t.Fatalf("columnar codec regressed to %.2f bytes/record on the locality stream, budget %.1f",
 			got, MaxColumnarBytesPerRecord)
 	}
 	if ratio := float64(RecSize) / got; ratio < 4 {
-		t.Fatalf("compression vs packed is %.1fx, want >= 4x", ratio)
+		t.Fatalf("compression vs fixed width is %.1fx, want >= 4x", ratio)
+	}
+}
+
+// TestColumnarRejectsMalformed drives DecodeColumnarCols, the server's
+// decode entry point, over targeted corruptions: each must fail with the
+// malformed-payload error and hand back no batch.
+func TestColumnarRejectsMalformed(t *testing.T) {
+	recs := streamRecs(32)
+	payload := AppendColumnar(nil, recs)
+	reject := func(t *testing.T, bad []byte) {
+		t.Helper()
+		c, err := DecodeColumnarCols(bad)
+		if !errors.Is(err, errColumnar) {
+			t.Fatalf("err = %v, want a malformed-payload error", err)
+		}
+		if c != nil {
+			t.Fatal("failed decode handed back a batch")
+		}
+	}
+	t.Run("truncations", func(t *testing.T) {
+		for cut := 0; cut < len(payload); cut++ {
+			reject(t, payload[:cut])
+		}
+	})
+	t.Run("trailing-bytes", func(t *testing.T) {
+		reject(t, append(append([]byte{}, payload...), 0))
+	})
+	t.Run("lying-count", func(t *testing.T) {
+		// 2^40 records in a short payload: rejected before any column
+		// is sized from the count.
+		reject(t, appendUvarint(nil, 1<<40))
+	})
+	t.Run("bad-op", func(t *testing.T) {
+		bad := AppendColumnar(nil, recs[:1])
+		bad[1] = byte(MaxOp) + 1 // the op byte after the 1-byte count
+		reject(t, bad)
+	})
+	t.Run("run-overflow", func(t *testing.T) {
+		reject(t, []byte{1, byte(event.OpRead), 2}) // count 1, op run 2
+	})
+}
+
+// TestColsDecodeRejectsMalformedAndRewinds drives the decoder over
+// targeted corruptions with a pre-seeded batch: none may decode, none may
+// panic, and every failure must rewind to the entry length so a pooled
+// Cols is never recycled with partial records in it.
+func TestColsDecodeRejectsMalformedAndRewinds(t *testing.T) {
+	recs := streamRecs(32)
+	payload := AppendColumnar(nil, recs)
+	sentinel := event.Rec{Op: event.OpWrite, Tid: 9, Addr: 0x999, Size: 1, Seq: 99}
+	check := func(t *testing.T, bad []byte) {
+		t.Helper()
+		c := &event.Cols{}
+		c.Append(sentinel)
+		if err := DecodeColumnarColsInto(bad, c); err == nil {
+			t.Fatal("malformed payload accepted")
+		}
+		if c.Len() != 1 || c.Rec(0) != sentinel {
+			t.Fatalf("failed decode did not rewind: len %d", c.Len())
+		}
+	}
+	t.Run("truncations", func(t *testing.T) {
+		for cut := 0; cut < len(payload); cut++ {
+			check(t, payload[:cut])
+		}
+	})
+	t.Run("trailing-bytes", func(t *testing.T) {
+		check(t, append(append([]byte{}, payload...), 0))
+	})
+	t.Run("lying-count", func(t *testing.T) {
+		check(t, appendUvarint(nil, 1<<40))
+	})
+	t.Run("count-mismatch", func(t *testing.T) {
+		// Claim 7 records over the column sections of 32: the op run
+		// lengths no longer cover the count.
+		check(t, append(appendUvarint(nil, 7), payload[1:]...))
+	})
+	t.Run("bad-op", func(t *testing.T) {
+		bad := AppendColumnar(nil, recs[:1])
+		bad[1] = byte(MaxOp) + 1
+		check(t, bad)
+	})
+	t.Run("run-overflow", func(t *testing.T) {
+		check(t, []byte{1, byte(event.OpRead), 2})
+	})
+	t.Run("size-overflow", func(t *testing.T) {
+		r := []event.Rec{{Op: event.OpRead, Tid: 1, Addr: 8, Size: 4, Seq: 1}}
+		good := AppendColumnar(nil, r)
+		// Re-encode by hand with a 2^40 size.
+		bad := appendUvarint(nil, 1)
+		bad = append(bad, byte(event.OpRead))
+		bad = appendUvarint(bad, 1)         // op run
+		bad = appendUvarint(bad, zigzag(1)) // tid
+		bad = appendUvarint(bad, 1)         // tid run
+		bad = appendUvarint(bad, zigzag(8)) // addr delta
+		bad = appendUvarint(bad, 1<<40)     // size: overflows uint32
+		bad = appendUvarint(bad, zigzag(0)) // pc delta
+		bad = appendUvarint(bad, zigzag(0)) // aux delta
+		bad = appendUvarint(bad, zigzag(1)) // seq delta
+		if len(bad) <= len(good) {
+			t.Fatal("hand-built payload suspiciously short")
+		}
+		check(t, bad)
+	})
+}
+
+// TestDecodeErrorPathsReturnPooledBatches is the pool-leak regression:
+// DecodeColumnarCols takes a batch from the pool on every call and must
+// return it on every error exit. An injected stream of truncated and
+// corrupt payloads must leave gets == puts — a leak here slowly bleeds
+// the server's batch pool under a misbehaving client.
+func TestDecodeErrorPathsReturnPooledBatches(t *testing.T) {
+	recs := streamRecs(64)
+	columnar := AppendColumnar(nil, recs)
+	badOp := AppendColumnar(nil, recs)
+	badOp[1] = byte(MaxOp) + 1 // the first op byte after the 1-byte count
+
+	_, _, cg0, cp0 := event.PoolCounts()
+	for cut := 0; cut < len(columnar); cut += 7 {
+		if _, err := DecodeColumnarCols(columnar[:cut]); err == nil {
+			t.Fatalf("truncated columnar payload (%d bytes) accepted", cut)
+		}
+	}
+	if _, err := DecodeColumnarCols(badOp); err == nil {
+		t.Fatal("payload with unknown op accepted")
+	}
+	_, _, cg1, cp1 := event.PoolCounts()
+	if cg1-cg0 != cp1-cp0 {
+		t.Errorf("cols pool leak: %d gets vs %d puts across error paths", cg1-cg0, cp1-cp0)
+	}
+
+	// A successful decode balances too once the caller returns the batch.
+	c, err := DecodeColumnarCols(columnar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	event.PutCols(c)
+	_, _, cg2, cp2 := event.PoolCounts()
+	if cg2-cg0 != cp2-cp0 {
+		t.Errorf("pool imbalance after a successful decode: cols %d/%d", cg2-cg0, cp2-cp0)
+	}
+}
+
+// TestColsDecodeZeroAlloc pins the ingest hot path: decoding a full
+// columnar payload into a warm pooled Cols allocates nothing.
+func TestColsDecodeZeroAlloc(t *testing.T) {
+	payload := AppendColumnar(nil, streamRecs(event.DefaultBatchSize))
+	c := event.GetCols()
+	defer event.PutCols(c)
+	if err := DecodeColumnarColsInto(payload, c); err != nil { // warm capacity
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		c.Reset()
+		if err := DecodeColumnarColsInto(payload, c); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("cols decode allocates %.1f per batch, want 0", avg)
 	}
 }

@@ -33,43 +33,41 @@ func recsFromBytes(data []byte) []event.Rec {
 	return recs
 }
 
-// FuzzWireRoundTrip asserts three properties over arbitrary input:
+// FuzzWireRoundTrip asserts two properties over arbitrary input:
 //
 //  1. Round trip: a batch derived from the input encodes to a frame that
-//     decodes back to exactly the same records, and truncating or
-//     corrupting any byte of the frame is rejected (never mis-decoded).
-//  2. Columnar round trip: the same batch through the delta-varint
-//     columnar codec (codec v2) is also the identity, including for the
-//     arbitrary field extremes the input derives — the wraparound delta
-//     arithmetic must hold for any record, not just realistic streams.
-//  3. Robustness: feeding the raw input directly to the frame reader and
-//     both batch decoders never panics and never over-allocates past the
-//     frame limit, whatever the bytes say.
+//     decodes back to exactly the same records — including the arbitrary
+//     field extremes the input derives, so the wraparound delta arithmetic
+//     must hold for any record, not just realistic streams — and
+//     truncating the frame or its payload, or corrupting any byte of the
+//     frame, is rejected (never mis-decoded).
+//  2. Robustness: feeding the raw input directly to the frame reader and
+//     the batch decoder never panics and never over-allocates past the
+//     frame limit, whatever the bytes say; a rejected decode leaves no
+//     partial records behind.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
-	seed := AppendBatchFrame(nil, Header{Session: 1, Seq: 1},
-		&event.Batch{Recs: []event.Rec{{Op: event.OpWrite, Addr: 0x1000, Size: 4, Seq: 1}}})
-	f.Add(seed)
-	f.Add(AppendBatchFrameCodec(nil, Header{Session: 2, Seq: 2},
-		&event.Batch{Recs: []event.Rec{{Op: event.OpRead, Addr: 0x2000, Size: 8, Seq: 1}}},
-		CodecColumnar))
-	// Go-native sync ops in both codecs, so the corpus reaches the top of
-	// the op range from the start.
+	f.Add(AppendBatchFrame(nil, Header{Session: 1, Seq: 1},
+		&event.Batch{Recs: []event.Rec{{Op: event.OpWrite, Addr: 0x1000, Size: 4, Seq: 1}}}))
+	f.Add(AppendBatchFrameTraced(nil, Header{Session: 2, Seq: 2},
+		&event.Batch{Recs: []event.Rec{{Op: event.OpRead, Addr: 0x2000, Size: 8, Seq: 1}}}, 7, 9))
+	// Go-native sync ops, so the corpus reaches the top of the op range
+	// from the start.
 	f.Add(AppendBatchFrame(nil, Header{Session: 3, Seq: 1}, &event.Batch{Recs: []event.Rec{
 		{Op: event.OpChanSend, Tid: 1, Aux: 4, Seq: 1},
 		{Op: event.OpChanRecv, Tid: 2, Aux: 4, Seq: 2},
 		{Op: event.OpChanAck, Tid: 1, Aux: 4, Seq: 3},
 	}}))
-	f.Add(AppendBatchFrameCodec(nil, Header{Session: 4, Seq: 1}, &event.Batch{Recs: []event.Rec{
+	f.Add(AppendBatchFrame(nil, Header{Session: 4, Seq: 1}, &event.Batch{Recs: []event.Rec{
 		{Op: event.OpWGAdd, Tid: 0, Aux: 1, Size: 2, Seq: 1},
 		{Op: event.OpWGDone, Tid: 1, Aux: 1, Seq: 2},
 		{Op: event.OpWGWait, Tid: 0, Aux: 1, Seq: 3},
-	}}, CodecColumnar))
-	// Columnar-decoder edge seeds: a payload truncated mid-column, an
-	// oversized count prefix, and a count that disagrees with the column
-	// sections — the mutation engine starts at the cols decoder's error
-	// edges instead of having to find them.
+	}}))
+	// Decoder edge seeds: a payload truncated mid-column, an oversized
+	// count prefix, and a count that disagrees with the column sections —
+	// the mutation engine starts at the decoder's error edges instead of
+	// having to find them.
 	colSeed := AppendColumnar(nil, []event.Rec{
 		{Op: event.OpRead, Tid: 1, Addr: 0x1000, Size: 8, PC: 3, Seq: 1},
 		{Op: event.OpWrite, Tid: 1, Addr: 0x1008, Size: 8, PC: 3, Seq: 2},
@@ -91,118 +89,64 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if h.Type != TypeBatch || h.Session != 99 || h.Seq != 7 {
 			t.Fatalf("header mangled: %+v", h)
 		}
-		got, err := DecodeBatch(payload)
+		got, err := DecodeColumnarCols(payload)
 		if err != nil {
 			t.Fatalf("own payload rejected: %v", err)
 		}
-		if len(got.Recs) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(got.Recs, recs)) {
-			t.Fatalf("round trip mismatch: %d vs %d recs", len(got.Recs), len(recs))
+		if got.Len() != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(colsRecs(got), recs)) {
+			t.Fatalf("round trip mismatch: %d vs %d recs", got.Len(), len(recs))
 		}
-		event.PutBatch(got)
+		event.PutCols(got)
 
-		// Truncations must never decode successfully.
-		if len(frame) > 0 {
-			cut := len(frame) - 1 - int(uint(len(data))%uint(len(frame)))
-			if _, _, err := NewReader(bytes.NewReader(frame[:cut]), 0).ReadFrame(); err == nil {
-				t.Fatalf("truncated frame (%d of %d bytes) accepted", cut, len(frame))
+		// Truncations must never decode successfully, at the frame layer
+		// or inside the payload.
+		cut := len(frame) - 1 - int(uint(len(data))%uint(len(frame)))
+		if _, _, err := NewReader(bytes.NewReader(frame[:cut]), 0).ReadFrame(); err == nil {
+			t.Fatalf("truncated frame (%d of %d bytes) accepted", cut, len(frame))
+		}
+		if len(recs) > 0 {
+			pcut := int(uint(len(data)) % uint(len(payload)))
+			var tc event.Cols
+			if err := DecodeColumnarColsInto(payload[:pcut], &tc); err == nil {
+				t.Fatalf("truncated payload (%d of %d bytes) accepted", pcut, len(payload))
 			}
 		}
 		// Single-byte corruption must be rejected (magic, CRC, or length
 		// check — never a silent mis-decode into different records).
-		if len(data) > 0 && len(frame) > 0 {
+		if len(data) > 0 {
 			pos := int(uint(data[0])) % len(frame)
 			mut := append([]byte(nil), frame...)
 			mut[pos] ^= 1 + data[len(data)-1]%255
-			mh, mp, err := NewReader(bytes.NewReader(mut), uint32(len(frame))).ReadFrame()
+			_, mp, err := NewReader(bytes.NewReader(mut), uint32(len(frame))).ReadFrame()
 			if err == nil {
 				// The flipped byte must have been in the header's
 				// non-integrity-checked fields (type/flags/shard/
 				// session/seq) — the payload itself is CRC-protected.
-				if mb, derr := DecodeBatch(mp); derr == nil {
-					if len(mb.Recs) != len(recs) ||
-						(len(recs) > 0 && !reflect.DeepEqual(mb.Recs, recs)) {
+				if mc, derr := DecodeColumnarCols(mp); derr == nil {
+					if mc.Len() != len(recs) ||
+						(len(recs) > 0 && !reflect.DeepEqual(colsRecs(mc), recs)) {
 						t.Fatalf("corruption at byte %d silently changed the decoded records", pos)
 					}
-					event.PutBatch(mb)
-				}
-				_ = mh
-			}
-		}
-
-		// Property 2: the columnar codec is also the identity, for the same
-		// arbitrary records, and its frames survive the frame layer.
-		cframe := AppendBatchFrameCodec(nil, Header{Session: 99, Seq: 7}, b, CodecColumnar)
-		ch, cpayload, err := NewReader(bytes.NewReader(cframe), 0).ReadFrame()
-		if err != nil {
-			t.Fatalf("own columnar frame rejected: %v", err)
-		}
-		if ch.Type != TypeBatch || ch.Session != 99 || ch.Seq != 7 {
-			t.Fatalf("columnar header mangled: %+v", ch)
-		}
-		cgot, err := DecodeBatchCodec(cpayload, CodecColumnar)
-		if err != nil {
-			t.Fatalf("own columnar payload rejected: %v", err)
-		}
-		if len(cgot.Recs) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(cgot.Recs, recs)) {
-			t.Fatalf("columnar round trip mismatch: %d vs %d recs", len(cgot.Recs), len(recs))
-		}
-		event.PutBatch(cgot)
-		// Truncated columnar payloads must never decode.
-		if len(cpayload) > 0 {
-			cut := int(uint(len(data)) % uint(len(cpayload)))
-			var tb event.Batch
-			if err := DecodeColumnarInto(cpayload[:cut], &tb); err == nil && len(recs) > 0 {
-				t.Fatalf("truncated columnar payload (%d of %d bytes) accepted", cut, len(cpayload))
-			}
-		}
-
-		// Property 2b: the columnar Cols decoder and encoder are exact
-		// twins of the record-major ones — byte-identical encoding, and
-		// identical accept/reject + records on arbitrary payload bytes.
-		cols := event.GetCols()
-		for i := range recs {
-			cols.Append(recs[i])
-		}
-		if !bytes.Equal(AppendColumnarCols(nil, cols), AppendColumnar(nil, recs)) {
-			t.Fatal("AppendColumnarCols diverged from AppendColumnar")
-		}
-		event.PutCols(cols)
-		var drb event.Batch
-		recErr := DecodeColumnarInto(data, &drb)
-		dc := event.GetCols()
-		colsErr := DecodeColumnarColsInto(data, dc)
-		if (recErr == nil) != (colsErr == nil) {
-			t.Fatalf("decoder strictness diverged: record %v, cols %v", recErr, colsErr)
-		}
-		if recErr == nil {
-			if dc.Len() != len(drb.Recs) {
-				t.Fatalf("cols decoded %d records, record decoder %d", dc.Len(), len(drb.Recs))
-			}
-			for i := range drb.Recs {
-				if dc.Rec(i) != drb.Recs[i] {
-					t.Fatalf("record %d decoded differently: %+v vs %+v", i, dc.Rec(i), drb.Recs[i])
+					event.PutCols(mc)
 				}
 			}
-		} else if dc.Len() != 0 {
-			t.Fatalf("failed cols decode left %d partial records", dc.Len())
 		}
-		event.PutCols(dc)
 
-		// Property 3: arbitrary bytes never panic the reader/decoders.
+		// Property 2: arbitrary bytes never panic the reader/decoder.
 		rd := NewReader(bytes.NewReader(data), 4096)
 		for {
 			_, p, err := rd.ReadFrame()
 			if err != nil {
 				break
 			}
-			if bb, err := DecodeBatch(p); err == nil {
-				event.PutBatch(bb)
-			}
-			if bb, err := DecodeBatchCodec(p, CodecColumnar); err == nil {
-				event.PutBatch(bb)
+			if c, err := DecodeColumnarCols(p); err == nil {
+				event.PutCols(c)
 			}
 		}
-		var rb event.Batch
-		_ = DecodeColumnarInto(data, &rb) // arbitrary bytes as a columnar payload
+		dc := event.GetCols()
+		if err := DecodeColumnarColsInto(data, dc); err != nil && dc.Len() != 0 {
+			t.Fatalf("failed decode left %d partial records", dc.Len())
+		}
+		event.PutCols(dc)
 	})
 }

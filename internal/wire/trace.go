@@ -1,12 +1,11 @@
 // Distributed-trace carriage for Batch frames. A traced batch sets
 // FlagTraced in the frame header and prefixes its payload with a fixed
 // 16-byte span context (trace id, span id — both little-endian uint64)
-// ahead of the codec-encoded records. The interop model mirrors codec
-// negotiation: absence means untraced. A pre-trace server never inspects
-// the flags byte it documents as "reserved, must be 0", so traced clients
-// only emit the prefix after the server granted tracing in HelloAck.Trace;
-// a pre-trace client never sets the flag and its batches decode exactly as
-// before. Keeping the span context out of the header proper means the
+// ahead of the columnar-encoded records. Absence means untraced: a
+// pre-trace server never inspects the flags byte it documents as
+// "reserved, must be 0", so traced clients only emit the prefix after the
+// server granted tracing in HelloAck.Trace; a pre-trace client never sets
+// the flag and its batches decode exactly as before. Keeping the span context out of the header proper means the
 // 32-byte header layout — and every untraced byte stream — is unchanged.
 package wire
 
@@ -26,14 +25,14 @@ const FlagTraced = 0x1
 // then span id (8 bytes LE).
 const TracePrefixSize = 16
 
-// AppendBatchFrameTraced encodes b as a Batch frame in the session codec
-// with a span-context payload prefix, setting FlagTraced. A zero trace id
-// means "this batch is unsampled": the frame is emitted untraced, byte
-// identical to AppendBatchFrameCodec, so per-batch sampling costs nothing
-// on the wire for unsampled batches.
-func AppendBatchFrameTraced(dst []byte, h Header, b *event.Batch, codec int, trace, span uint64) []byte {
+// AppendBatchFrameTraced encodes b as a Batch frame with a span-context
+// payload prefix, setting FlagTraced. A zero trace id means "this batch is
+// unsampled": the frame is emitted untraced, byte identical to
+// AppendBatchFrame, so per-batch sampling costs nothing on the wire for
+// unsampled batches.
+func AppendBatchFrameTraced(dst []byte, h Header, b *event.Batch, trace, span uint64) []byte {
 	if trace == 0 {
-		return AppendBatchFrameCodec(dst, h, b, codec)
+		return AppendBatchFrame(dst, h, b)
 	}
 	h.Type = TypeBatch
 	h.Flags |= FlagTraced
@@ -41,23 +40,14 @@ func AppendBatchFrameTraced(dst []byte, h Header, b *event.Batch, codec int, tra
 	dst = append(dst, make([]byte, HeaderSize+TracePrefixSize)...)
 	binary.LittleEndian.PutUint64(dst[off+HeaderSize:], trace)
 	binary.LittleEndian.PutUint64(dst[off+HeaderSize+8:], span)
-	if codec == CodecColumnar {
-		dst = AppendColumnar(dst, b.Recs)
-	} else {
-		n := len(b.Recs) * RecSize
-		dst = append(dst, make([]byte, n)...)
-		recsOut := dst[len(dst)-n:]
-		for i := range b.Recs {
-			PutRec(recsOut[i*RecSize:], &b.Recs[i])
-		}
-	}
+	dst = AppendColumnar(dst, b.Recs)
 	payload := dst[off+HeaderSize:]
 	putHeader(dst[off:], h, uint32(len(payload)), checksum(payload))
 	return dst
 }
 
 // SplitTracePrefix separates a Batch payload into its span context and the
-// codec-encoded records. Untraced frames (flag clear) pass through with a
+// columnar-encoded records. Untraced frames (flag clear) pass through with a
 // zero context.
 func SplitTracePrefix(h Header, payload []byte) (trace, span uint64, recs []byte, err error) {
 	if h.Flags&FlagTraced == 0 {

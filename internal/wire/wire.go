@@ -20,12 +20,9 @@
 //	28      4     CRC-32C (Castagnoli) of the payload
 //	32      ...   payload
 //
-// Batch payloads carry event records in the session's negotiated codec:
-// the original packed array of 37-byte records (CodecPacked) or the
-// columnar delta-varint format (CodecColumnar, see columnar.go). Control
-// payloads are JSON, which keeps negotiation extensible without burning
-// protocol versions — the codec itself is negotiated through the
-// Hello/HelloAck JSON exchange. The shard hint lets a
+// Batch payloads carry event records in the columnar delta-varint format
+// (see columnar.go). Control payloads are JSON, which keeps negotiation
+// extensible without burning protocol versions. The shard hint lets a
 // multi-process ingest tier route frames to shard queues without decoding
 // the payload; the reference client always streams the full event stream
 // of one execution and sets it to 0.
@@ -42,8 +39,8 @@
 // error (a gap).
 //
 // Decoding is allocation-recycled: Reader reuses one payload buffer, and
-// DecodeBatch fills batches from event's sync.Pool, so a server ingesting
-// a steady stream allocates nothing per frame.
+// DecodeColumnarCols fills batches from event's sync.Pool, so a server
+// ingesting a steady stream allocates nothing per frame.
 package wire
 
 import (
@@ -56,27 +53,35 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/event"
-	"repro/internal/vc"
 )
 
-// Magic identifies protocol version 1 frames ("RDw1" little-endian).
+// Magic identifies wire-protocol frames ("RDw1" little-endian). It stays
+// fixed across protocol versions so that a peer of another version still
+// parses the Hello exchange and is refused by Version with a typed error.
 const Magic uint32 = 0x31774452
 
 // Version is the protocol version negotiated in Hello frames. It is
-// carried redundantly with the magic so a future magic-compatible revision
-// can still refuse clients by version.
-const Version = 1
+// carried redundantly with the magic so a magic-compatible revision can
+// still refuse clients by version: version 1 peers could send packed
+// 37-byte record batches, which version 2 no longer decodes, so the server
+// answers their Hello with CodeBadVersion.
+const Version = 2
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 32
 
-// RecSize is the packed on-wire size of one event record.
+// RecSize is the size of one event record with every field stored at its
+// full fixed width (op 1, tid 4, size 4, pc 4, addr 8, aux 8, seq 8). It is
+// the reference the columnar encoding is measured against:
+// wire_raw_bytes_total counts records × RecSize, and
+// wire_compression_ratio divides it by the bytes actually encoded.
 const RecSize = 37
 
 // DefaultMaxFrameBytes bounds the payload length a Reader accepts. One
-// full event.Batch is DefaultBatchSize*RecSize ≈ 76 KiB; 1 MiB leaves
-// generous headroom for report payloads while keeping a malicious length
-// prefix from ballooning server memory.
+// full event.Batch encodes to at most ~96 KiB even when every varint takes
+// its widest form (48 B/record); 1 MiB leaves generous headroom for report
+// payloads while keeping a malicious length prefix from ballooning server
+// memory.
 const DefaultMaxFrameBytes = 1 << 20
 
 // Type enumerates the frame types.
@@ -165,95 +170,12 @@ func putHeader(b []byte, h Header, length, crc uint32) {
 	binary.LittleEndian.PutUint32(b[28:], crc)
 }
 
-// AppendBatchFrame encodes b's records as a Batch frame appended to dst.
-// The frame's sequence number is h.Seq (the caller's batch counter); the
-// records' own Seq fields ride along inside the payload so a decoded batch
-// is bit-identical to the encoded one.
-func AppendBatchFrame(dst []byte, h Header, b *event.Batch) []byte {
-	h.Type = TypeBatch
-	off := len(dst)
-	n := len(b.Recs) * RecSize
-	dst = append(dst, make([]byte, HeaderSize+n)...)
-	payload := dst[off+HeaderSize:]
-	for i := range b.Recs {
-		PutRec(payload[i*RecSize:], &b.Recs[i])
-	}
-	putHeader(dst[off:], h, uint32(n), crc32.Checksum(payload[:n], castagnoli))
-	return dst
-}
-
-// PutRec packs one record into b (little-endian, RecSize bytes):
-//
-//	0   Op    uint8
-//	1   Tid   int32
-//	5   Size  uint32
-//	9   PC    uint32
-//	13  Addr  uint64
-//	21  Aux   uint64
-//	29  Seq   uint64
-func PutRec(b []byte, r *event.Rec) {
-	_ = b[RecSize-1]
-	b[0] = byte(r.Op)
-	binary.LittleEndian.PutUint32(b[1:], uint32(r.Tid))
-	binary.LittleEndian.PutUint32(b[5:], r.Size)
-	binary.LittleEndian.PutUint32(b[9:], uint32(r.PC))
-	binary.LittleEndian.PutUint64(b[13:], r.Addr)
-	binary.LittleEndian.PutUint64(b[21:], r.Aux)
-	binary.LittleEndian.PutUint64(b[29:], r.Seq)
-}
-
-// GetRec unpacks one record from b (the inverse of PutRec).
-func GetRec(b []byte, r *event.Rec) {
-	_ = b[RecSize-1]
-	r.Op = event.Op(b[0])
-	r.Tid = vc.TID(binary.LittleEndian.Uint32(b[1:]))
-	r.Size = binary.LittleEndian.Uint32(b[5:])
-	r.PC = event.PC(binary.LittleEndian.Uint32(b[9:]))
-	r.Addr = binary.LittleEndian.Uint64(b[13:])
-	r.Aux = binary.LittleEndian.Uint64(b[21:])
-	r.Seq = binary.LittleEndian.Uint64(b[29:])
-}
-
-// MaxOp is the highest valid operation code; DecodeBatchInto rejects
+// MaxOp is the highest valid operation code; the batch decoder rejects
 // records beyond it so corrupted frames cannot smuggle unknown ops into a
 // detector dispatch. Raised from OpFree when the Go-native sync ops
 // (channel send/recv/ack, WaitGroup add/done/wait) joined the stream; an
 // old decoder rejects frames carrying them rather than misapplying.
 const MaxOp = event.OpWGWait
-
-// DecodeBatchInto decodes a Batch payload into b (appending to b.Recs).
-// The payload must be a whole number of records with valid op codes. On
-// any error b is rewound to its length at entry — like the columnar
-// decoder, a failed decode never leaves partial records behind for a
-// caller that recycles b through the batch pool.
-func DecodeBatchInto(payload []byte, b *event.Batch) error {
-	if len(payload)%RecSize != 0 {
-		return fmt.Errorf("wire: batch payload length %d is not a multiple of %d", len(payload), RecSize)
-	}
-	base := len(b.Recs)
-	n := len(payload) / RecSize
-	for i := 0; i < n; i++ {
-		var r event.Rec
-		GetRec(payload[i*RecSize:], &r)
-		if r.Op > MaxOp {
-			b.Recs = b.Recs[:base]
-			return fmt.Errorf("wire: record %d has unknown op %d", i, r.Op)
-		}
-		b.Recs = append(b.Recs, r)
-	}
-	return nil
-}
-
-// DecodeBatch decodes a Batch payload into a pooled batch. The caller owns
-// the batch and should return it with event.PutBatch.
-func DecodeBatch(payload []byte) (*event.Batch, error) {
-	b := event.GetBatch()
-	if err := DecodeBatchInto(payload, b); err != nil {
-		event.PutBatch(b)
-		return nil, err
-	}
-	return b, nil
-}
 
 // Reader decodes frames from a byte stream, reusing one payload buffer
 // across calls (the returned payload is valid only until the next
@@ -335,20 +257,16 @@ func (rd *Reader) ReadFrame() (Header, []byte, error) {
 // batch sequence it applied so the client can replay only unacknowledged
 // batches.
 type Hello struct {
-	Version int    `json:"version"`
-	Resume  uint64 `json:"resume,omitempty"`
-	// Codec is the highest batch codec the client speaks (CodecPacked,
-	// CodecColumnar). Absent (0) from pre-codec clients, which the server
-	// maps to CodecPacked — see NegotiateCodec.
-	Codec            int   `json:"codec,omitempty"`
-	Granularity      uint8 `json:"granularity"`
-	Workers          int   `json:"workers"`
-	Window           int   `json:"window"`
-	NoInitState      bool  `json:"no_init_state,omitempty"`
-	NoInitSharing    bool  `json:"no_init_sharing,omitempty"`
-	WriteGuidedReads bool  `json:"write_guided_reads,omitempty"`
-	ReadReset        bool  `json:"read_reset,omitempty"`
-	ReshareInterval  uint8 `json:"reshare_interval,omitempty"`
+	Version          int    `json:"version"`
+	Resume           uint64 `json:"resume,omitempty"`
+	Granularity      uint8  `json:"granularity"`
+	Workers          int    `json:"workers"`
+	Window           int    `json:"window"`
+	NoInitState      bool   `json:"no_init_state,omitempty"`
+	NoInitSharing    bool   `json:"no_init_sharing,omitempty"`
+	WriteGuidedReads bool   `json:"write_guided_reads,omitempty"`
+	ReadReset        bool   `json:"read_reset,omitempty"`
+	ReshareInterval  uint8  `json:"reshare_interval,omitempty"`
 	// Clock selects the thread-clock representation (detector.ClockMode):
 	// 0 general vector clocks, 1 compact task-tree clocks with demotion.
 	// Absent (0) from pre-clock clients, preserving general-mode behavior.
@@ -377,14 +295,9 @@ type HelloAck struct {
 	Window    int    `json:"window"`
 	AckEvery  int    `json:"ack_every"`
 	ResumeSeq uint64 `json:"resume_seq"`
-	// Codec is the granted batch codec: min(client ceiling, server
-	// ceiling). Absent (0) from pre-codec servers, which the client maps
-	// to CodecPacked. Every Batch frame of the session uses this codec.
-	Codec int `json:"codec,omitempty"`
 	// Trace grants the client's Hello.Trace request. Absent (false) from
 	// pre-trace servers, so a new client talking to an old server simply
-	// never sends traced frames — the same absent-means-v1 interop rule as
-	// Codec.
+	// never sends traced frames.
 	Trace bool `json:"trace,omitempty"`
 }
 

@@ -25,30 +25,17 @@ func syncRecs() []event.Rec {
 	}
 }
 
-// TestSyncOpsRoundTripBothCodecs pins that the Go-native sync ops survive
-// both batch codecs and that the two codecs agree record-for-record.
-func TestSyncOpsRoundTripBothCodecs(t *testing.T) {
+// TestSyncOpsRoundTrip pins that the Go-native sync ops survive a Batch
+// frame record for record.
+func TestSyncOpsRoundTrip(t *testing.T) {
 	recs := syncRecs()
-	b := &event.Batch{Recs: recs}
-
-	v1, err := DecodeBatchCodec(AppendBatchFrameCodec(nil, Header{Seq: 1}, b, CodecPacked)[HeaderSize:], CodecPacked)
+	got, err := DecodeColumnarCols(AppendBatchFrame(nil, Header{Seq: 1}, &event.Batch{Recs: recs})[HeaderSize:])
 	if err != nil {
-		t.Fatalf("packed decode: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
-	defer event.PutBatch(v1)
-	v2, err := DecodeBatchCodec(AppendBatchFrameCodec(nil, Header{Seq: 1}, b, CodecColumnar)[HeaderSize:], CodecColumnar)
-	if err != nil {
-		t.Fatalf("columnar decode: %v", err)
-	}
-	defer event.PutBatch(v2)
-	if !reflect.DeepEqual(v1.Recs, recs) {
-		t.Fatal("packed round trip of sync ops mismatch")
-	}
-	if !reflect.DeepEqual(v2.Recs, recs) {
-		t.Fatal("columnar round trip of sync ops mismatch")
-	}
-	if !reflect.DeepEqual(v1.Recs, v2.Recs) {
-		t.Fatal("codecs disagree on sync ops")
+	defer event.PutCols(got)
+	if !reflect.DeepEqual(colsRecs(got), recs) {
+		t.Fatal("round trip of sync ops mismatch")
 	}
 }
 
@@ -70,17 +57,12 @@ func TestSyncOpsAboveOldCeiling(t *testing.T) {
 		t.Errorf("MaxOp = %d, want OpWGWait (%d)", MaxOp, event.OpWGWait)
 	}
 	// And the current decoder still rejects the next op beyond the new
-	// ceiling, in both codecs.
-	payload := make([]byte, RecSize)
-	payload[0] = byte(MaxOp) + 1
-	if _, err := DecodeBatch(payload); err == nil {
-		t.Fatal("packed decoder accepted op beyond MaxOp")
-	}
+	// ceiling.
 	bad := AppendColumnar(nil, []event.Rec{{Op: event.OpChanSend}})
 	bad[1] = byte(MaxOp) + 1
-	var cb event.Batch
-	if err := DecodeColumnarInto(bad, &cb); err == nil {
-		t.Fatal("columnar decoder accepted op beyond MaxOp")
+	var cb event.Cols
+	if err := DecodeColumnarColsInto(bad, &cb); err == nil {
+		t.Fatal("decoder accepted op beyond MaxOp")
 	}
 }
 
@@ -113,12 +95,12 @@ func TestEncoderSyncConventions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := DecodeBatch(payload)
+		c, err := DecodeColumnarCols(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Apply(&got)
-		event.PutBatch(b)
+		c.Apply(&got)
+		event.PutCols(c)
 	}
 	if got != want {
 		t.Fatalf("replayed sync stream differs:\ngot  %+v\nwant %+v", got, want)

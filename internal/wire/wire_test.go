@@ -30,25 +30,19 @@ func randRecs(n int, seed int64) []event.Rec {
 	return recs
 }
 
-func TestRecRoundTrip(t *testing.T) {
-	for _, r := range randRecs(100, 1) {
-		var buf [RecSize]byte
-		PutRec(buf[:], &r)
-		var got event.Rec
-		GetRec(buf[:], &got)
-		if got != r {
-			t.Fatalf("record round trip: got %+v want %+v", got, r)
-		}
+// colsRecs returns the records of c in order.
+func colsRecs(c *event.Cols) []event.Rec {
+	recs := make([]event.Rec, c.Len())
+	for i := range recs {
+		recs[i] = c.Rec(i)
 	}
+	return recs
 }
 
 func TestBatchFrameRoundTrip(t *testing.T) {
 	b := &event.Batch{Recs: randRecs(striped, 2)}
 	h := Header{Session: 7, Seq: 42, Shard: 3}
 	frame := AppendBatchFrame(nil, h, b)
-	if len(frame) != HeaderSize+len(b.Recs)*RecSize {
-		t.Fatalf("frame length %d", len(frame))
-	}
 	rd := NewReader(bytes.NewReader(frame), 0)
 	gh, payload, err := rd.ReadFrame()
 	if err != nil {
@@ -57,12 +51,12 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	if gh.Type != TypeBatch || gh.Session != 7 || gh.Seq != 42 || gh.Shard != 3 {
 		t.Fatalf("header round trip: %+v", gh)
 	}
-	got, err := DecodeBatch(payload)
+	got, err := DecodeColumnarCols(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer event.PutBatch(got)
-	if !reflect.DeepEqual(got.Recs, b.Recs) {
+	defer event.PutCols(got)
+	if !reflect.DeepEqual(colsRecs(got), b.Recs) {
 		t.Fatal("decoded batch differs from encoded batch")
 	}
 	// The stream must end on a clean frame boundary.
@@ -131,31 +125,33 @@ func TestReaderRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("oversized", func(t *testing.T) {
-		_, _, err := NewReader(bytes.NewReader(frame), uint32(len(b.Recs)*RecSize-1)).ReadFrame()
+		_, _, err := NewReader(bytes.NewReader(frame), uint32(len(frame)-HeaderSize-1)).ReadFrame()
 		if !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("want ErrTooLarge, got %v", err)
 		}
 	})
 	t.Run("ragged-batch-payload", func(t *testing.T) {
-		// A CRC-valid frame whose payload is not a whole number of records.
-		ragged := AppendFrame(nil, Header{Type: TypeBatch, Seq: 1}, make([]byte, RecSize+1))
+		// A CRC-valid frame whose payload stops one byte short of its last
+		// column.
+		full := AppendColumnar(nil, b.Recs)
+		ragged := AppendFrame(nil, Header{Type: TypeBatch, Seq: 1}, full[:len(full)-1])
 		_, payload, err := NewReader(bytes.NewReader(ragged), 0).ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeBatch(payload); err == nil {
+		if _, err := DecodeColumnarCols(payload); err == nil {
 			t.Fatal("ragged payload accepted")
 		}
 	})
 	t.Run("unknown-op", func(t *testing.T) {
-		payload := make([]byte, RecSize)
-		payload[0] = byte(MaxOp) + 1
+		payload := AppendColumnar(nil, b.Recs[:1])
+		payload[1] = byte(MaxOp) + 1 // the op byte after the 1-byte count
 		framed := AppendFrame(nil, Header{Type: TypeBatch, Seq: 1}, payload)
 		_, p, err := NewReader(bytes.NewReader(framed), 0).ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeBatch(p); err == nil {
+		if _, err := DecodeColumnarCols(p); err == nil {
 			t.Fatal("unknown op accepted")
 		}
 	})
@@ -229,12 +225,12 @@ func TestEncoderToWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := DecodeBatch(payload)
+		c, err := DecodeColumnarCols(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Apply(&got)
-		event.PutBatch(b)
+		c.Apply(&got)
+		event.PutCols(c)
 	}
 	if got != want {
 		t.Fatalf("replayed stream differs:\ngot  %+v\nwant %+v", got, want)

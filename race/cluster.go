@@ -57,7 +57,6 @@ func runCluster(p Program, opts Options) (Report, error) {
 		Members:     opts.Cluster,
 		Sync:        opts.RemoteSync,
 		Telemetry:   opts.Telemetry,
-		Codec:       opts.wireCodec(),
 		Migration:   opts.ClusterMigration,
 		TraceSample: opts.TraceSample,
 		Tracer:      opts.Tracer,

@@ -28,7 +28,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"cluster", Options{Cluster: []string{"localhost:7474", "localhost:7475"}}, ""},
 		{"cluster-single", Options{Cluster: []string{"127.0.0.1:7474"}}, ""},
 		{"cluster-sync", Options{Cluster: []string{"localhost:7474"}, RemoteSync: true}, ""},
-		{"cluster-codec", Options{Cluster: []string{"localhost:7474"}, Codec: "v1"}, ""},
 		{"cluster-migration", Options{
 			Cluster:          []string{"localhost:7474", "localhost:7475"},
 			ClusterMigration: &ClusterMigration{Slot: -1, To: "localhost:7476", AfterEvents: 100},

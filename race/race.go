@@ -215,16 +215,6 @@ type Options struct {
 	// instead of streaming asynchronously behind a bounded window. Applies
 	// to Remote and Cluster sessions.
 	RemoteSync bool
-	// Codec picks the batch codec ceiling a Remote session may negotiate:
-	// "" or "auto" requests the best both sides speak (currently the v2
-	// delta-varint columnar format), "v1" forces the original packed
-	// records, "v2" requests columnar explicitly. The server may always
-	// grant less; detection results are identical either way.
-	Codec string
-	// Dispatch selects the router→worker transport of the local sharded
-	// pipeline (Workers > 0): "" or "ring" for the lock-free SPSC ring,
-	// "chan" for the buffered-channel baseline (benchmark comparisons).
-	Dispatch string
 	// BatchPolicy selects transport batch sizing: "" or "fixed" ships
 	// full event.DefaultBatchSize batches; "adaptive" sizes batches from
 	// observed back-pressure (worker-queue occupancy locally; outbox
@@ -385,19 +375,6 @@ func (o Options) Validate() error {
 	}
 	if o.RemoteSync && o.Remote == "" && len(o.Cluster) == 0 {
 		return &OptionsError{"RemoteSync", "requires Remote or Cluster to be set"}
-	}
-	switch o.Codec {
-	case "", "auto", "v1", "v2":
-	default:
-		return &OptionsError{"Codec", fmt.Sprintf("unknown codec %q (want auto, v1 or v2)", o.Codec)}
-	}
-	if o.Codec != "" && o.Codec != "auto" && o.Remote == "" && len(o.Cluster) == 0 {
-		return &OptionsError{"Codec", "requires Remote or Cluster to be set (in-process detection has no wire codec)"}
-	}
-	switch o.Dispatch {
-	case "", "ring", "chan":
-	default:
-		return &OptionsError{"Dispatch", fmt.Sprintf("unknown dispatch %q (want ring or chan)", o.Dispatch)}
 	}
 	switch o.BatchPolicy {
 	case "", "fixed", "adaptive":
@@ -577,18 +554,6 @@ func (o Options) engineOptions() sim.Options {
 	return so
 }
 
-// wireCodec maps the Options.Codec string onto the wire codec ceiling the
-// client requests (0 = best available).
-func (o Options) wireCodec() int {
-	switch o.Codec {
-	case "v1":
-		return wire.CodecPacked
-	case "v2":
-		return wire.CodecColumnar
-	}
-	return 0 // auto: the client requests wire.CodecMax
-}
-
 // batchPolicy returns a fresh adaptive policy when requested, else nil
 // (fixed-size batches).
 func (o Options) batchPolicy() *event.BatchPolicy {
@@ -711,7 +676,6 @@ func runRemote(p Program, opts Options) (Report, error) {
 		Addr:        opts.Remote,
 		Sync:        opts.RemoteSync,
 		Telemetry:   opts.Telemetry,
-		Codec:       opts.wireCodec(),
 		BatchPolicy: opts.batchPolicy(),
 		TraceSample: opts.TraceSample,
 		Tracer:      opts.Tracer,
@@ -800,7 +764,6 @@ func runLocal(p Program, opts Options) Report {
 				Workers:     opts.Workers,
 				Detector:    cfg,
 				Telemetry:   opts.Telemetry,
-				Dispatch:    opts.Dispatch,
 				BatchPolicy: opts.batchPolicy(),
 				Tracer:      opts.Tracer,
 			}

@@ -3,97 +3,69 @@ package race
 import (
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 	"repro/workloads"
 )
 
-// codecPayloadBytes returns the wire_payload_bytes_total series for one
-// codec label (0 when the series was never registered).
-func codecPayloadBytes(reg *telemetry.Registry, codec string) uint64 {
-	var v uint64
-	reg.Each(func(m telemetry.Metric) {
-		if m.Name == "wire_payload_bytes_total" && m.Labels["codec"] == codec {
-			v = uint64(m.Value)
-		}
-	})
-	return v
-}
-
 // TestWireTelemetryReconciliation pins the wire byte accounting the same
-// way TestTelemetryReconciliation pins the detector counters: on a
-// forced-v1 remote run every streamed record costs exactly wire.RecSize
-// payload bytes, so raw bytes, v1 payload bytes, and events x 37 must all
-// agree to the byte; on a default (columnar) run the v2 payload must beat
-// the packed baseline by the >=4x the issue promises, and the live
-// compression-ratio gauge must say so too.
+// way TestTelemetryReconciliation pins the detector counters. Raw bytes
+// are exactly events x wire.RecSize, and payload bytes are exactly the
+// columnar encoding of the same stream cut into the same batches —
+// re-encoded here from a local run of the program. The payload must beat
+// the fixed-width reference by the >=4x the columnar codec promises, and
+// the live compression-ratio gauge must say so too.
 func TestWireTelemetryReconciliation(t *testing.T) {
 	addr := startDetectd(t, server.Options{})
 	spec, err := workloads.ByName("pbzip2")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	run := func(codec string) *telemetry.Registry {
-		reg := telemetry.New()
-		if _, err := RunE(spec.Program(), Options{
-			Granularity: Dynamic, Seed: 42, Workers: 2,
-			Remote: addr, Codec: codec, Telemetry: reg,
-		}); err != nil {
-			t.Fatalf("codec %q: %v", codec, err)
-		}
-		return reg
+	reg := telemetry.New()
+	opts := Options{Granularity: Dynamic, Seed: 42, Workers: 2, Remote: addr, Telemetry: reg}
+	if _, err := RunE(spec.Program(), opts); err != nil {
+		t.Fatal(err)
 	}
 
-	// Forced v1: the stream is the packed baseline, so the accounting is
-	// exact, not approximate.
-	reg := run("v1")
-	events := reg.CounterValue("client_events_total")
-	raw := reg.CounterValue("wire_raw_bytes_total")
+	// The client flushes fixed event.DefaultBatchSize batches, so an
+	// encoder with the default target cuts the same run identically.
+	var events, payload uint64
+	enc := event.Encoder{Flush: func(b *event.Batch) {
+		events += uint64(len(b.Recs))
+		payload += uint64(len(wire.AppendColumnar(nil, b.Recs)))
+		event.PutBatch(b)
+	}}
+	sim.Run(spec.Program(), &enc, opts.engineOptions())
+	enc.Close()
+
 	if events == 0 {
-		t.Fatal("v1 run streamed no events")
+		t.Fatal("run streamed no events")
 	}
+	if got := reg.CounterValue("client_events_total"); got != events {
+		t.Errorf("client_events_total = %d, want %d", got, events)
+	}
+	raw := reg.CounterValue("wire_raw_bytes_total")
 	if want := events * wire.RecSize; raw != want {
 		t.Errorf("wire_raw_bytes_total = %d, want events x %d = %d", raw, wire.RecSize, want)
 	}
-	if v1 := codecPayloadBytes(reg, "v1"); v1 != raw {
-		t.Errorf("v1 payload bytes = %d, want raw %d (packed batches carry records verbatim)", v1, raw)
+	if got := reg.CounterValue("wire_payload_bytes_total"); got != payload {
+		t.Errorf("wire_payload_bytes_total = %d, want the re-encoded stream's %d", got, payload)
 	}
-	if v2 := codecPayloadBytes(reg, "v2"); v2 != 0 {
-		t.Errorf("v2 payload bytes = %d on a forced-v1 session", v2)
-	}
-	if ratio := reg.GaugeValue("wire_compression_ratio"); ratio != 1 {
-		t.Errorf("wire_compression_ratio = %v on a forced-v1 session, want 1", ratio)
-	}
-
-	// Default negotiation grants columnar; the >=4x bytes-per-record win is
-	// the tentpole's acceptance bar, asserted here on live counters.
-	reg = run("")
-	events = reg.CounterValue("client_events_total")
-	raw = reg.CounterValue("wire_raw_bytes_total")
-	v2 := codecPayloadBytes(reg, "v2")
-	if events == 0 || raw != events*wire.RecSize {
-		t.Fatalf("columnar run accounting broken: events=%d raw=%d", events, raw)
-	}
-	if v2 == 0 {
-		t.Fatal("columnar run recorded no v2 payload bytes")
-	}
-	if v1 := codecPayloadBytes(reg, "v1"); v1 != 0 {
-		t.Errorf("v1 payload bytes = %d on a columnar session", v1)
-	}
-	if v2*4 > raw {
+	if payload*4 > raw {
 		t.Errorf("columnar payload %d bytes for %d raw: less than 4x compression (%.2f B/event)",
-			v2, raw, float64(v2)/float64(events))
+			payload, raw, float64(payload)/float64(events))
 	}
 	if ratio := reg.GaugeValue("wire_compression_ratio"); ratio < 4 {
 		t.Errorf("wire_compression_ratio = %.2f, want >= 4", ratio)
 	}
 }
 
-// TestRingTelemetry checks the ring dispatch registers its occupancy and
-// park instrumentation and the adaptive policy exports a live batch
-// target, on an ordinary local sharded run.
+// TestRingTelemetry checks the worker queues register their occupancy and
+// park instrumentation (the pipeline_ring_* families) and the adaptive
+// policy exports a live batch target, on an ordinary local sharded run.
 func TestRingTelemetry(t *testing.T) {
 	spec, err := workloads.ByName("ffmpeg")
 	if err != nil {
@@ -120,7 +92,7 @@ func TestRingTelemetry(t *testing.T) {
 		"pipeline_batch_target",
 	} {
 		if !families[want] {
-			t.Errorf("ring run did not register %s", want)
+			t.Errorf("sharded run did not register %s", want)
 		}
 	}
 	for _, side := range []string{"producer", "consumer"} {
