@@ -243,6 +243,10 @@ type Detector struct {
 
 	bitmaps  []*epochbitmap.Bitmap
 	suppress [8]bool
+	// bitmapBytes is the retained storage of every bitmap in bitmaps, kept
+	// as a running total the bitmaps add their chunk growth to. Chunks are
+	// never freed, so it is also the bitmaps' peak.
+	bitmapBytes int64
 
 	// One-entry bitmap cache: event streams run many consecutive accesses
 	// by the same thread (a scheduling quantum is 64 events), so the
@@ -331,13 +335,7 @@ func (d *Detector) Stats() Stats {
 	s := d.stats
 	s.HashPeakBytes = d.read.Tab.PeakBytes() + d.write.Tab.PeakBytes()
 	s.VCPeakBytes = s.Plane.VCBytesPeak + d.th.LockClockBytes()
-	var bm int64
-	for _, b := range d.bitmaps {
-		if b != nil {
-			bm += b.PeakBytes()
-		}
-	}
-	s.BitmapPeakBytes = bm
+	s.BitmapPeakBytes = d.bitmapBytes
 	if s.TotalPeakBytes < s.HashPeakBytes+s.VCPeakBytes+s.BitmapPeakBytes {
 		s.TotalPeakBytes = s.HashPeakBytes + s.VCPeakBytes + s.BitmapPeakBytes
 	}
@@ -364,7 +362,7 @@ func (d *Detector) bitmap(t vc.TID) *epochbitmap.Bitmap {
 		d.bitmaps = append(d.bitmaps, nil)
 	}
 	if d.bitmaps[t] == nil {
-		d.bitmaps[t] = epochbitmap.New()
+		d.bitmaps[t] = epochbitmap.New(&d.bitmapBytes)
 	}
 	d.lastTid, d.lastBM = t, d.bitmaps[t]
 	return d.lastBM
@@ -384,13 +382,9 @@ func (d *Detector) footprint(addr uint64, size uint64) (uint64, uint64) {
 // trackTotal refreshes the running total-memory peak (Table 2's overhead
 // total is the peak of the sum of the three components, which individual
 // component peaks would overstate when they crest at different times).
+// Every term is a running total, so the refresh costs O(1) per event.
 func (d *Detector) trackTotal() {
-	cur := d.read.Tab.Bytes() + d.write.Tab.Bytes() + d.stats.Plane.VCBytesCur
-	for _, b := range d.bitmaps {
-		if b != nil {
-			cur += b.Bytes()
-		}
-	}
+	cur := d.read.Tab.Bytes() + d.write.Tab.Bytes() + d.stats.Plane.VCBytesCur + d.bitmapBytes
 	if cur > d.stats.TotalPeakBytes {
 		d.stats.TotalPeakBytes = cur
 	}
@@ -422,17 +416,10 @@ func (d *Detector) report(kind fasttrack.RaceKind, lo, hi uint64, tid vc.TID, pc
 // checkReadPlane scans the read plane in [lo, hi) for a recorded read not
 // ordered before tc (a read-write race against the current write).
 func (d *Detector) checkReadPlane(lo, hi uint64, tc vc.View) (vc.TID, event.PC, bool) {
-	var raceTid vc.TID = vc.NoTID
-	var racePC event.PC
-	var last *dyngran.Node
-	d.read.Tab.ForRange(lo, hi, func(_ uint64, n *dyngran.Node) bool {
-		if n == last {
-			return true
-		}
-		last = n
-		if !n.R.LEQ(tc) {
-			raceTid = n.R.RacingTID(tc)
-			racePC = n.PC
+	for cur := lo; cur < hi; {
+		n, next := d.read.Tab.Run(cur, hi)
+		if n != nil && !n.R.LEQ(tc) {
+			raceTid := n.R.RacingTID(tc)
 			if d.prov != nil {
 				prev := uint64(n.R.E.Clock())
 				if n.R.Shared() {
@@ -440,11 +427,11 @@ func (d *Detector) checkReadPlane(lo, hi uint64, tc vc.View) (vc.TID, event.PC, 
 				}
 				d.prov.captureCmp("read", raceTid, prev, uint64(tc.Get(raceTid)), n)
 			}
-			return false
+			return raceTid, n.PC, raceTid != vc.NoTID
 		}
-		return true
-	})
-	return raceTid, racePC, raceTid != vc.NoTID
+		cur = next
+	}
+	return vc.NoTID, 0, false
 }
 
 // Write processes a shared write (the memorywrite instrumentation path).
@@ -469,8 +456,7 @@ func (d *Detector) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 	if d.prov != nil {
 		d.prov.noteAccess(tid, pc, lo, hi)
 	}
-	tc := d.th.View(tid)
-	e := d.th.Epoch(tid)
+	tc, e := d.th.Now(tid)
 
 	d.segments(d.write, lo, hi, func(segLo, segHi uint64, n *dyngran.Node) {
 		d.writeSegment(segLo, segHi, n, tid, tc, e, pc, bm)
@@ -623,8 +609,7 @@ func (d *Detector) Read(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 	if d.prov != nil {
 		d.prov.noteAccess(tid, pc, lo, hi)
 	}
-	tc := d.th.View(tid)
-	e := d.th.Epoch(tid)
+	tc, e := d.th.Now(tid)
 
 	d.segments(d.read, lo, hi, func(segLo, segHi uint64, n *dyngran.Node) {
 		d.readSegment(segLo, segHi, n, tid, tc, e, pc, bm)
@@ -727,25 +712,19 @@ func (d *Detector) raceOnRead(n *dyngran.Node, lo, hi uint64, tid vc.TID, tc vc.
 // checkWritePlane scans the write plane in [lo, hi) for a write not ordered
 // before tc.
 func (d *Detector) checkWritePlane(lo, hi uint64, tc vc.View) (vc.TID, event.PC, bool) {
-	var raceTid vc.TID = vc.NoTID
-	var racePC event.PC
-	var last *dyngran.Node
-	d.write.Tab.ForRange(lo, hi, func(_ uint64, n *dyngran.Node) bool {
-		if n == last {
-			return true
-		}
-		last = n
-		if kind, other := fasttrack.CheckRead(n.W, tc); kind != fasttrack.NoRace {
-			raceTid = other
-			racePC = n.PC
-			if d.prov != nil {
-				d.prov.captureCmp("write", other, uint64(n.W.Clock()), uint64(tc.Get(other)), n)
+	for cur := lo; cur < hi; {
+		n, next := d.write.Tab.Run(cur, hi)
+		if n != nil {
+			if kind, other := fasttrack.CheckRead(n.W, tc); kind != fasttrack.NoRace {
+				if d.prov != nil {
+					d.prov.captureCmp("write", other, uint64(n.W.Clock()), uint64(tc.Get(other)), n)
+				}
+				return other, n.PC, other != vc.NoTID
 			}
-			return false
 		}
-		return true
-	})
-	return raceTid, racePC, raceTid != vc.NoTID
+		cur = next
+	}
+	return vc.NoTID, 0, false
 }
 
 // updateRead records a read into n's adaptive representation, accounting
@@ -832,40 +811,40 @@ func (d *Detector) readShareBlocked(n *dyngran.Node) bool { return n.R.Shared() 
 // markShared extends the same-epoch bitmap over a node's whole range when
 // the node covers more than one location, so later accesses to its other
 // locations short-circuit — the mechanism that raises the same-epoch
-// percentage under dynamic granularity (Table 4).
+// percentage under dynamic granularity (Table 4). Slots of other nodes
+// inside the range stay unmarked: first-epoch sharing merges across
+// unaccessed gaps, and a gap address accessed later gets a node of its own,
+// whose accesses must still be checked.
 func (d *Detector) markShared(p *dyngran.Plane, n *dyngran.Node, bm *epochbitmap.Bitmap) {
 	if n.Hi-n.Lo <= 1 || n.Locs <= 1 {
 		return
 	}
-	if p.Kind == dyngran.WritePlane {
-		bm.MarkWrite(n.Lo, n.Hi)
-	} else {
-		bm.MarkRead(n.Lo, n.Hi)
+	for lo := n.Lo; lo < n.Hi; {
+		m, hi := p.Tab.Run(lo, n.Hi)
+		switch {
+		case m != nil && m != n:
+			// Another node's slots: left to its own checks.
+		case p.Kind == dyngran.WritePlane:
+			bm.MarkWrite(lo, hi)
+		default:
+			bm.MarkRead(lo, hi)
+		}
+		lo = hi
 	}
 }
 
 // segments walks [lo, hi) as maximal runs covered by one node (or none) and
-// applies f to each. f may mutate the plane; the walk re-reads the shadow
-// table after every step.
+// applies f to each. A node's run ends at the first slot of another node:
+// a gapped node's range can enclose them (see markShared). f may mutate
+// the plane; the walk re-reads the shadow table after every step.
 func (d *Detector) segments(p *dyngran.Plane, lo, hi uint64, f func(segLo, segHi uint64, n *dyngran.Node)) {
-	cur := lo
-	for cur < hi {
-		n := p.Tab.Get(cur)
-		if n != nil {
-			segHi := n.Hi
-			if segHi > hi {
-				segHi = hi
-			}
-			f(cur, segHi, n)
-			cur = segHi
-			continue
+	for cur := lo; cur < hi; {
+		n, segHi := p.Tab.Run(cur, hi)
+		if n != nil && n.Hi < segHi {
+			segHi = n.Hi
 		}
-		gapHi := cur + 1
-		for gapHi < hi && p.Tab.Get(gapHi) == nil {
-			gapHi++
-		}
-		f(cur, gapHi, nil)
-		cur = gapHi
+		f(cur, segHi, n)
+		cur = segHi
 	}
 }
 

@@ -104,6 +104,11 @@ type Node struct {
 	Hist    uint32
 	HistLen uint8
 
+	// collected marks a node DropRange has already gathered; it is set and
+	// cleared within one DropRange call. It sits in padding: a Node stays
+	// 64 bytes.
+	collected bool
+
 	// PC is the code site of the last recorded access, kept for reports.
 	PC event.PC
 }
@@ -618,25 +623,25 @@ func (p *Plane) DeflateReads(lo, hi uint64, tc vc.View) {
 
 // DropRange discards all shadow state in [lo, hi) — the free() path. Nodes
 // fully inside the range are released; nodes straddling a boundary are
-// shrunk.
+// shrunk. The cost is O(slots in the range): each slot is visited once and
+// each node is collected once.
 func (p *Plane) DropRange(lo, hi uint64) {
-	// Collect each node once. Adjacent-only dedup is not enough: a merge of
-	// two pieces around an interior hole leaves a node whose range contains
-	// slots owned by a later hole-filling node, so the same node can appear
-	// in non-contiguous slot runs — and a double release would push it onto
-	// the freelist twice (aliased reuse). The per-block node count is small
-	// (≤ 32), so a linear membership scan stays cheap.
+	// Collect each node once, in first-slot order. Adjacent-only dedup is
+	// not enough: a merge of two pieces around an interior hole leaves a
+	// node whose range contains slots owned by a later hole-filling node,
+	// so the same node can appear in non-contiguous slot runs — and a
+	// double release would push it onto the freelist twice (aliased
+	// reuse). The node's collected mark makes the membership test O(1).
 	nodes := p.scratch[:0]
 	p.Tab.ForRange(lo, hi, func(_ uint64, n *Node) bool {
-		for _, m := range nodes {
-			if m == n {
-				return true
-			}
+		if !n.collected {
+			n.collected = true
+			nodes = append(nodes, n)
 		}
-		nodes = append(nodes, n)
 		return true
 	})
 	for _, n := range nodes {
+		n.collected = false
 		switch {
 		case n.Lo >= lo && n.Hi <= hi:
 			p.release(n)

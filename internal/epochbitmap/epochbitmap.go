@@ -16,7 +16,8 @@
 // Resetting is O(1): chunks carry a generation stamp and are lazily zeroed
 // when touched under a newer generation, so per-release cost does not scale
 // with the number of addresses touched. Retained chunk storage is accounted
-// by object size for the Table 2 "Bitmap" column.
+// by object size for the Table 2 "Bitmap" column; chunks are never freed, so
+// the retained bytes only grow.
 package epochbitmap
 
 const (
@@ -41,34 +42,44 @@ type Bitmap struct {
 	chunks map[uint64]*chunk
 	gen    uint32
 
-	curBytes  int64
-	peakBytes int64
+	// One-entry chunk cache: consecutive accesses overwhelmingly hit the
+	// same 2048-address chunk, so remembering the last chunk resolved
+	// skips the map lookup. Chunks are never deleted, so the cache never
+	// goes stale.
+	lastKey uint64
+	last    *chunk
+
+	bytes int64
+	// total is a running sum shared by a group of bitmaps (one detector's
+	// threads); chunk growth is added to it as well.
+	total *int64
 }
 
-// New returns an empty bitmap.
-func New() *Bitmap {
-	return &Bitmap{chunks: make(map[uint64]*chunk), gen: 1}
+// New returns an empty bitmap that adds its retained storage to the
+// running sum *total, so an owner of many bitmaps reads their combined
+// size in O(1).
+func New(total *int64) *Bitmap {
+	return &Bitmap{chunks: make(map[uint64]*chunk), gen: 1, total: total}
 }
 
 // Reset starts a new epoch: every address reads as unaccessed afterwards.
 func (b *Bitmap) Reset() { b.gen++ }
 
-// Bytes returns the currently retained storage of the bitmap.
-func (b *Bitmap) Bytes() int64 { return b.curBytes }
-
-// PeakBytes returns the maximum retained storage reached so far.
-func (b *Bitmap) PeakBytes() int64 { return b.peakBytes }
+// Bytes returns the retained storage of the bitmap. Chunks are never
+// freed, so this is also its peak.
+func (b *Bitmap) Bytes() int64 { return b.bytes }
 
 func (b *Bitmap) chunkFor(key uint64) *chunk {
-	c := b.chunks[key]
-	if c == nil {
-		c = &chunk{gen: b.gen}
-		b.chunks[key] = c
-		b.curBytes += chunkBytes + mapSlotBytes
-		if b.curBytes > b.peakBytes {
-			b.peakBytes = b.curBytes
+	c := b.last
+	if c == nil || b.lastKey != key {
+		c = b.chunks[key]
+		if c == nil {
+			c = &chunk{gen: b.gen}
+			b.chunks[key] = c
+			b.bytes += chunkBytes + mapSlotBytes
+			*b.total += chunkBytes + mapSlotBytes
 		}
-		return c
+		b.lastKey, b.last = key, c
 	}
 	if c.gen != b.gen {
 		c.bits = [chunkWords]uint64{}
@@ -86,48 +97,51 @@ const laneRep = 0x5555555555555555
 // per address must already be present for the access to count as
 // same-epoch; set selects which bits to record.
 //
-// Ranges that fall inside one 64-bit word (≤ 31 addresses, which covers
-// every real access footprint) take a branch-free single-word fast path:
-// the per-address loop collapses to three masked word operations. This is
-// the detector's hottest code — it runs on every shared access — so the
-// fast path is what keeps the same-epoch filter effectively free.
+// The work is done a 64-bit word (32 addresses) at a time. Ranges that fall
+// inside one word (≤ 31 addresses, which covers every real access
+// footprint) take a single-word fast path. This is the detector's hottest
+// code — it runs on every shared access — so the fast path is what keeps
+// the same-epoch filter effectively free; longer ranges (a shared node's
+// whole range, marked by the dynamic-granularity detector) cost one word
+// operation per 32 addresses.
 func (b *Bitmap) testAndSet(lo, hi uint64, need, set uint64) bool {
 	if n := hi - lo; n > 0 && n <= 31 {
 		off := (lo & chunkMask) * 2
 		if sh := off & 63; sh+2*n <= 64 {
 			c := b.chunkFor(lo >> chunkShift)
-			w := &c.bits[off>>6]
-			rangeMask := (uint64(1)<<(2*n) - 1) << sh
-			// A lane (address) counts as covered when ANY of its required
-			// bits is present; collapse each lane's two bits onto its low
-			// bit and compare against the full lane set.
-			x := *w & (need * laneRep) & rangeMask
-			lanes := (laneRep << sh) & rangeMask
-			all := (x|x>>1)&lanes == lanes
-			*w |= (set * laneRep) & rangeMask
-			return all
+			return wordTestAndSet(&c.bits[off>>6], sh, n, need, set)
 		}
 	}
 	all := true
 	for lo < hi {
-		key := lo >> chunkShift
-		c := b.chunkFor(key)
+		c := b.chunkFor(lo >> chunkShift)
 		end := (lo | chunkMask) + 1
 		if end > hi {
 			end = hi
 		}
-		for a := lo; a < end; a++ {
-			off := (a & chunkMask) * 2
-			w := &c.bits[off/64]
-			sh := off % 64
-			if *w>>sh&need == 0 {
+		for lo < end {
+			off := (lo & chunkMask) * 2
+			sh := off & 63
+			n := min(end-lo, (64-sh)/2)
+			if !wordTestAndSet(&c.bits[off>>6], sh, n, need, set) {
 				all = false
 			}
-			*w |= set << sh
+			lo += n
 		}
-		lo = end
 	}
 	return all
+}
+
+// wordTestAndSet is testAndSet for the n addresses whose lanes start at bit
+// sh of word w (sh + 2n ≤ 64). A lane (address) counts as covered when ANY
+// of its required bits is present: each lane's two bits collapse onto its
+// low bit, compared against the full lane set.
+func wordTestAndSet(w *uint64, sh, n, need, set uint64) bool {
+	rangeMask := (uint64(1)<<(2*n) - 1) << sh // n == 32: 1<<64 is 0, so all ones
+	x := *w & (need * laneRep) & rangeMask
+	lanes := (laneRep << sh) & rangeMask
+	*w |= (set * laneRep) & rangeMask
+	return (x|x>>1)&lanes == lanes
 }
 
 const (

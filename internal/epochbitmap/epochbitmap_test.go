@@ -7,7 +7,7 @@ import (
 )
 
 func TestFirstAccessIsNotSameEpoch(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	if b.Read(0x100, 0x104) {
 		t.Error("first read cannot be same-epoch")
 	}
@@ -17,7 +17,7 @@ func TestFirstAccessIsNotSameEpoch(t *testing.T) {
 }
 
 func TestRepeatIsSameEpoch(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	b.Read(0x100, 0x104)
 	if !b.Read(0x100, 0x104) {
 		t.Error("repeated read must be same-epoch")
@@ -30,7 +30,7 @@ func TestRepeatIsSameEpoch(t *testing.T) {
 }
 
 func TestWriteDoesNotCountAsRead(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	if b.Write(0x50, 0x54) {
 		t.Error("first write cannot be same-epoch")
 	}
@@ -41,7 +41,7 @@ func TestWriteDoesNotCountAsRead(t *testing.T) {
 }
 
 func TestReadDoesNotSatisfyWrite(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	b.Read(0x60, 0x64)
 	if b.Write(0x60, 0x64) {
 		t.Error("a write after only reads must not be filtered")
@@ -49,7 +49,7 @@ func TestReadDoesNotSatisfyWrite(t *testing.T) {
 }
 
 func TestPartialCoverageIsNotSameEpoch(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	b.Read(0x100, 0x104)
 	if b.Read(0x102, 0x106) {
 		t.Error("partially covered range must not be same-epoch")
@@ -60,7 +60,7 @@ func TestPartialCoverageIsNotSameEpoch(t *testing.T) {
 }
 
 func TestResetClearsEverything(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	b.Read(0x100, 0x108)
 	b.Write(0x100, 0x108)
 	b.Reset()
@@ -74,7 +74,7 @@ func TestResetClearsEverything(t *testing.T) {
 }
 
 func TestMarkCoversWithoutTesting(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	b.MarkRead(0x1000, 0x1080)
 	if !b.Read(0x1010, 0x1018) {
 		t.Error("marked range must read as same-epoch")
@@ -89,7 +89,7 @@ func TestMarkCoversWithoutTesting(t *testing.T) {
 }
 
 func TestCrossChunkRanges(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	lo := uint64(chunkAddrs - 8)
 	hi := uint64(chunkAddrs + 8)
 	if b.Write(lo, hi) {
@@ -104,7 +104,7 @@ func TestCrossChunkRanges(t *testing.T) {
 }
 
 func TestAccountingRetainsChunks(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	if b.Bytes() != 0 {
 		t.Fatal("fresh bitmap accounts nothing")
 	}
@@ -121,8 +121,26 @@ func TestAccountingRetainsChunks(t *testing.T) {
 	if b.Bytes() != 2*one {
 		t.Error("Reset keeps chunk storage (lazy clearing)")
 	}
-	if b.PeakBytes() != 2*one {
-		t.Error("peak tracks retained chunks")
+}
+
+// Bitmaps built on one running total add every chunk they retain to it, so
+// the total always equals the sum of their Bytes.
+func TestSharedRunningTotal(t *testing.T) {
+	var total int64
+	a, b := New(&total), New(&total)
+	a.Write(0, 8)
+	b.Read(0, 8)
+	a.Write(uint64(chunkAddrs*3), uint64(chunkAddrs*3)+4)
+	a.Reset()
+	// Same chunk in a new epoch: no growth.
+	a.Write(0, 8)
+	// A range across a chunk boundary adds the second chunk.
+	b.MarkRead(uint64(chunkAddrs)-2, uint64(chunkAddrs)+2)
+	if total != a.Bytes()+b.Bytes() {
+		t.Fatalf("total %d, bitmaps %d + %d", total, a.Bytes(), b.Bytes())
+	}
+	if a.Bytes() != b.Bytes() || a.Bytes() == 0 {
+		t.Fatalf("each bitmap holds two chunks: %d vs %d", a.Bytes(), b.Bytes())
 	}
 }
 
@@ -132,7 +150,7 @@ func TestQuickAgainstModel(t *testing.T) {
 	type state struct{ r, w bool }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := New()
+		b := New(new(int64))
 		ref := map[uint64]state{}
 		for op := 0; op < 400; op++ {
 			switch rng.Intn(10) {

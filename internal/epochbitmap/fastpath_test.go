@@ -61,7 +61,7 @@ func (r *refBitmap) MarkWrite(lo, hi uint64) {
 // must agree.
 func TestWordFastPathEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	b := New()
+	b := New(new(int64))
 	ref := newRef()
 	for i := 0; i < 60000; i++ {
 		// Bias offsets toward word (32-address) and chunk (2048-address)
@@ -105,7 +105,7 @@ func TestWordFastPathEquivalence(t *testing.T) {
 // boundaries: single addresses, a full 31-address run at word offset 0/1,
 // and a range whose last lane is the word's top lane.
 func TestFastPathLaneSemantics(t *testing.T) {
-	b := New()
+	b := New(new(int64))
 	// 31 addresses starting at a word boundary: fast path (2*31 = 62 bits).
 	if b.Write(0, 31) {
 		t.Fatal("fresh 31-address write cannot be same-epoch")

@@ -74,9 +74,12 @@ type Threads struct {
 	chans map[event.ChanID]*chanClock
 	wgs   map[event.WGID]*wgClock
 
-	// generalPeak is the high-water mark of GeneralClockBytes, sampled at
-	// the sync operations that change the general-representation footprint.
-	generalPeak int64
+	// general is GeneralClockBytes as a running total: a general thread
+	// clock adds its size when created and its growth as it grows, a queued
+	// vector-clock publication adds its size on enqueue and subtracts it on
+	// dequeue. generalPeak is its high-water mark, sampled at the sync
+	// operations that change the general-representation footprint.
+	general, generalPeak int64
 }
 
 // SetPool binds every thread/lock/barrier clock created from now on to p,
@@ -105,21 +108,42 @@ func (ts *Threads) ensure(t vc.TID) *vc.VC {
 		c := ts.pool.Get(int(t) + 1)
 		c.Set(t, 1)
 		ts.clocks[t] = c
+		ts.general += clockBytes(c)
 		ts.epochs++
 	}
 	return ts.clocks[t]
 }
 
-// Clock returns thread t's current vector clock.
+// resized adds the growth of general thread clock tc since it measured
+// before bytes to the running GeneralClockBytes total. Every update of a
+// thread clock goes through it (directly or via join, tick and snapJoin).
+func (ts *Threads) resized(tc *vc.VC, before int) {
+	ts.general += int64(tc.Bytes() - before)
+}
+
+// join applies tc ⊔= o to general thread clock tc.
+func (ts *Threads) join(tc, o *vc.VC) {
+	before := tc.Bytes()
+	tc.Join(o)
+	ts.resized(tc, before)
+}
+
+// tick starts thread t's next epoch on its general clock tc.
+func (ts *Threads) tick(t vc.TID, tc *vc.VC) {
+	before := tc.Bytes()
+	tc.Inc(t)
+	ts.resized(tc, before)
+	ts.epochs++
+}
+
+// Clock returns thread t's current vector clock. Callers must not modify
+// it: Threads accounts every update of a thread clock.
 func (ts *Threads) Clock(t vc.TID) *vc.VC { return ts.ensure(t) }
 
 // Epoch returns thread t's current epoch c@t.
 func (ts *Threads) Epoch(t vc.TID) vc.Epoch {
-	if k := ts.task(t); k != nil {
-		return vc.MakeEpoch(t, k.Self())
-	}
-	c := ts.ensure(t)
-	return vc.MakeEpoch(t, c.Get(t))
+	_, e := ts.Now(t)
+	return e
 }
 
 // Epochs returns the total number of epochs started across all threads.
@@ -131,10 +155,10 @@ func (ts *Threads) Epochs() uint64 { return ts.epochs }
 func (ts *Threads) Acquire(t vc.TID, l event.LockID) {
 	tc := ts.demote(t, DemoteLock)
 	if lc := ts.locks[l]; lc != nil {
-		tc.Join(lc)
+		ts.join(tc, lc)
 	}
 	if rc := ts.readers[l]; rc != nil {
-		tc.Join(rc)
+		ts.join(tc, rc)
 	}
 }
 
@@ -148,8 +172,7 @@ func (ts *Threads) Release(t vc.TID, l event.LockID) {
 		ts.locks[l] = lc
 	}
 	lc.Join(tc)
-	tc.Inc(t)
-	ts.epochs++
+	ts.tick(t, tc)
 }
 
 // AcquireShared applies a rwlock read-lock: the reader observes everything
@@ -158,7 +181,7 @@ func (ts *Threads) Release(t vc.TID, l event.LockID) {
 func (ts *Threads) AcquireShared(t vc.TID, l event.LockID) {
 	tc := ts.demote(t, DemoteRWLock)
 	if lc := ts.locks[l]; lc != nil {
-		tc.Join(lc)
+		ts.join(tc, lc)
 	}
 }
 
@@ -175,8 +198,7 @@ func (ts *Threads) ReleaseShared(t vc.TID, l event.LockID) {
 		ts.readers[l] = rc
 	}
 	rc.Join(tc)
-	tc.Inc(t)
-	ts.epochs++
+	ts.tick(t, tc)
 }
 
 // Fork makes the child inherit the parent's time and advances the parent's
@@ -201,9 +223,8 @@ func (ts *Threads) Fork(parent, child vc.TID) {
 	}
 	pc := ts.ensure(parent)
 	cc := ts.ensure(child)
-	cc.Join(pc)
-	pc.Inc(parent)
-	ts.epochs++
+	ts.join(cc, pc)
+	ts.tick(parent, pc)
 	ts.noteGeneralPeak()
 }
 
@@ -224,7 +245,7 @@ func (ts *Threads) Join(parent, child vc.TID) {
 			if pt := ts.task(parent); pt != nil {
 				pt.Absorb(f)
 			} else {
-				vc.SnapJoinInto(ts.arena, f, ts.ensure(parent))
+				ts.snapJoin(ts.ensure(parent), f)
 				ts.noteGeneralPeak()
 			}
 			ts.arena.Release(f)
@@ -236,10 +257,10 @@ func (ts *Threads) Join(parent, child vc.TID) {
 		}
 		// Demoted child: the parent leaves the structured regime too.
 		cc := ts.ensure(child)
-		ts.demote(parent, DemotePeer).Join(cc)
+		ts.join(ts.demote(parent, DemotePeer), cc)
 		return
 	}
-	ts.ensure(parent).Join(ts.ensure(child))
+	ts.join(ts.ensure(parent), ts.ensure(child))
 	ts.noteGeneralPeak()
 }
 
@@ -255,15 +276,14 @@ func (ts *Threads) BarrierArrive(t vc.TID, b event.BarrierID) {
 		ts.barriers[b] = bc
 	}
 	bc.Join(tc)
-	tc.Inc(t)
-	ts.epochs++
+	ts.tick(t, tc)
 }
 
 // BarrierDepart absorbs the barrier clock into t.
 func (ts *Threads) BarrierDepart(t vc.TID, b event.BarrierID) {
 	tc := ts.demote(t, DemoteBarrier)
 	if bc := ts.barriers[b]; bc != nil {
-		tc.Join(bc)
+		ts.join(tc, bc)
 	}
 }
 
@@ -271,16 +291,20 @@ func (ts *Threads) BarrierDepart(t vc.TID, b event.BarrierID) {
 func (ts *Threads) LockClockBytes() int64 {
 	var n int64
 	for _, c := range ts.locks {
-		n += int64(c.Bytes()) + 16
+		n += clockBytes(c)
 	}
 	for _, c := range ts.readers {
-		n += int64(c.Bytes()) + 16
+		n += clockBytes(c)
 	}
 	for _, c := range ts.barriers {
-		n += int64(c.Bytes()) + 16
+		n += clockBytes(c)
 	}
 	return n
 }
+
+// clockBytes is the accounting size of vector clock c: its storage plus a
+// 16-byte header.
+func clockBytes(c *vc.VC) int64 { return int64(c.Bytes()) + 16 }
 
 // Read is FastTrack's adaptive read representation: a single epoch while
 // reads of the location are totally ordered, inflated to a full vector clock

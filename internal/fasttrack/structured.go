@@ -80,6 +80,15 @@ type clockVal struct {
 	tid vc.TID
 }
 
+// bytes is the publication's share of GeneralClockBytes: a vector clock
+// counts its storage, a compact snapshot is accounted by the arena.
+func (cv clockVal) bytes() int64 {
+	if cv.v == nil {
+		return 0
+	}
+	return clockBytes(cv.v)
+}
+
 // fifo is a head-compacting queue of published times. Popping advances a
 // head index instead of re-slicing, so the backing array is reused and the
 // steady state allocates nothing.
@@ -180,10 +189,18 @@ func (ts *Threads) freshThread(t vc.TID) bool {
 // View returns thread t's clock for happens-before comparisons: the
 // compact task while structured, the general vector clock otherwise.
 func (ts *Threads) View(t vc.TID) vc.View {
+	v, _ := ts.Now(t)
+	return v
+}
+
+// Now returns thread t's clock (as View does) and its current epoch c@t,
+// resolving the thread's representation once: the access path needs both.
+func (ts *Threads) Now(t vc.TID) (vc.View, vc.Epoch) {
 	if k := ts.task(t); k != nil {
-		return k
+		return k, vc.MakeEpoch(t, k.Self())
 	}
-	return ts.ensure(t)
+	c := ts.ensure(t)
+	return c, vc.MakeEpoch(t, c.Get(t))
 }
 
 // demote moves thread t from the compact to the general representation
@@ -205,8 +222,11 @@ func (ts *Threads) demote(t vc.TID, r DemoteReason) *vc.VC {
 		// so build the clock directly rather than through ensure.
 		cvc = ts.pool.Get(int(t) + 1)
 		ts.clocks[t] = cvc
+		ts.general += clockBytes(cvc)
 	}
+	before := cvc.Bytes()
 	k.MaterializeInto(cvc)
+	ts.resized(cvc, before)
 	ts.arena.FreeTask(k)
 	ts.tasks[t] = nil
 	ts.demoted[t] = true
@@ -228,8 +248,7 @@ func (ts *Threads) publishVal(t vc.TID) clockVal {
 	}
 	tc := ts.ensure(t)
 	cv := clockVal{v: tc.CloneIn(ts.pool), tid: t}
-	tc.Inc(t)
-	ts.epochs++
+	ts.tick(t, tc)
 	ts.noteGeneralPeak()
 	return cv
 }
@@ -243,17 +262,38 @@ func (ts *Threads) absorbVal(t vc.TID, cv clockVal) {
 			k.Absorb(cv.s)
 			return
 		}
-		ts.demote(t, DemotePeer).Join(cv.v)
+		ts.join(ts.demote(t, DemotePeer), cv.v)
 		return
 	}
 	tc := ts.ensure(t)
 	if cv.s != nil {
-		vc.SnapJoinInto(ts.arena, cv.s, tc)
+		ts.snapJoin(tc, cv.s)
 		ts.noteGeneralPeak()
 		return
 	}
-	tc.Join(cv.v)
+	ts.join(tc, cv.v)
 	ts.noteGeneralPeak()
+}
+
+// snapJoin joins compact snapshot s into general thread clock tc.
+func (ts *Threads) snapJoin(tc *vc.VC, s *vc.Snap) {
+	before := tc.Bytes()
+	vc.SnapJoinInto(ts.arena, s, tc)
+	ts.resized(tc, before)
+}
+
+// enqueue queues a publication, counting it in GeneralClockBytes.
+func (ts *Threads) enqueue(q *fifo, cv clockVal) {
+	q.push(cv)
+	ts.general += cv.bytes()
+}
+
+// dequeue pops the oldest publication, which stops counting in
+// GeneralClockBytes.
+func (ts *Threads) dequeue(q *fifo) (clockVal, bool) {
+	cv, ok := q.pop()
+	ts.general -= cv.bytes()
+	return cv, ok
 }
 
 // releaseVal returns a popped publication's storage to its arena or pool.
@@ -283,12 +323,12 @@ func (ts *Threads) ChanSend(t vc.TID, ch event.ChanID, capacity int) {
 	c := ts.chanFor(ch, capacity)
 	c.sends++
 	if c.capacity > 0 && c.sends > uint64(c.capacity) {
-		if cv, ok := c.recvq.pop(); ok {
+		if cv, ok := ts.dequeue(&c.recvq); ok {
 			ts.absorbVal(t, cv)
 			ts.releaseVal(cv)
 		}
 	}
-	c.sendq.push(ts.publishVal(t))
+	ts.enqueue(&c.sendq, ts.publishVal(t))
 }
 
 // ChanRecv applies the k-th receive on ch: absorb the k-th send's
@@ -296,18 +336,18 @@ func (ts *Threads) ChanSend(t vc.TID, ch event.ChanID, capacity int) {
 func (ts *Threads) ChanRecv(t vc.TID, ch event.ChanID, capacity int) {
 	c := ts.chanFor(ch, capacity)
 	c.recvs++
-	if cv, ok := c.sendq.pop(); ok {
+	if cv, ok := ts.dequeue(&c.sendq); ok {
 		ts.absorbVal(t, cv)
 		ts.releaseVal(cv)
 	}
-	c.recvq.push(ts.publishVal(t))
+	ts.enqueue(&c.recvq, ts.publishVal(t))
 }
 
 // ChanAck applies the unbuffered rendezvous back edge: the sender absorbs
 // the matching receiver's publication. No new epoch (it is an acquire).
 func (ts *Threads) ChanAck(t vc.TID, ch event.ChanID, capacity int) {
 	c := ts.chanFor(ch, capacity)
-	if cv, ok := c.recvq.pop(); ok {
+	if cv, ok := ts.dequeue(&c.recvq); ok {
 		ts.absorbVal(t, cv)
 		ts.releaseVal(cv)
 	}
@@ -328,8 +368,10 @@ func (ts *Threads) wgFor(wg event.WGID) *wgClock {
 func (ts *Threads) WGDone(t vc.TID, wg event.WGID) {
 	w := ts.wgFor(wg)
 	cv := ts.publishVal(t)
+	ts.general += cv.bytes()
 	for i := range w.done {
 		if w.done[i].tid == t {
+			ts.general -= w.done[i].bytes()
 			ts.releaseVal(w.done[i])
 			w.done[i] = cv
 			return
@@ -380,51 +422,24 @@ func (ts *Threads) CompactClockBytes() (live, peak int64) {
 
 // noteGeneralPeak records the current general-representation footprint in
 // the high-water mark. Called at the sync operations that grow general
-// clocks or queue publications; access-path code never recomputes it.
+// clocks or queue publications; access-path code never samples it.
 func (ts *Threads) noteGeneralPeak() {
-	if n := ts.GeneralClockBytes(); n > ts.generalPeak {
-		ts.generalPeak = n
+	if ts.general > ts.generalPeak {
+		ts.generalPeak = ts.general
 	}
 }
 
 // GeneralClockPeakBytes returns the high-water mark of GeneralClockBytes,
 // the peak-to-peak counterpart of CompactClockBytes' second return.
 func (ts *Threads) GeneralClockPeakBytes() int64 {
-	if n := ts.GeneralClockBytes(); n > ts.generalPeak {
-		ts.generalPeak = n
-	}
+	ts.noteGeneralPeak()
 	return ts.generalPeak
 }
 
 // GeneralClockBytes returns the accounting size of all general-representation
 // thread clocks plus queued vector-clock publications (channel queues and
 // WaitGroup entries). Lock, reader and barrier clocks are reported
-// separately by LockClockBytes.
-func (ts *Threads) GeneralClockBytes() int64 {
-	var n int64
-	for _, c := range ts.clocks {
-		if c != nil {
-			n += int64(c.Bytes()) + 16
-		}
-	}
-	val := func(cv clockVal) int64 {
-		if cv.v != nil {
-			return int64(cv.v.Bytes()) + 16
-		}
-		return 0
-	}
-	for _, c := range ts.chans {
-		for i := c.sendq.head; i < len(c.sendq.vals); i++ {
-			n += val(c.sendq.vals[i])
-		}
-		for i := c.recvq.head; i < len(c.recvq.vals); i++ {
-			n += val(c.recvq.vals[i])
-		}
-	}
-	for _, w := range ts.wgs {
-		for _, cv := range w.done {
-			n += val(cv)
-		}
-	}
-	return n
-}
+// separately by LockClockBytes. It is a running total, kept up to date at
+// the clock, queue or WaitGroup each operation touches, so reading it is
+// O(1).
+func (ts *Threads) GeneralClockBytes() int64 { return ts.general }

@@ -398,6 +398,43 @@ func (t *Table[T]) ClearRange(lo, hi uint64) {
 	}
 }
 
+// Run returns the value v of lo's slot and the end of its run in [lo, hi):
+// the first address whose slot holds a value other than v or the zero T,
+// or hi. Empty slots continue a node's run (a node's range can span
+// unaccessed gaps), and a run of empty slots ends at the first set slot, so
+// a walk steps from one node to the next with one call per node. A node's
+// range can also enclose slots of other nodes; its run stops there.
+func (t *Table[T]) Run(lo, hi uint64) (v T, end uint64) {
+	var zero T
+	e := t.find(lo >> blockShift)
+	if e != nil {
+		v = e.slots[e.slotIndex(lo)]
+	}
+	for lo < hi {
+		blockEnd := (lo | blockMask) + 1
+		if blockEnd > hi {
+			blockEnd = hi
+		}
+		if e != nil {
+			for a := lo; a < blockEnd; {
+				if s := e.slots[e.slotIndex(a)]; s != zero && s != v {
+					return v, a
+				}
+				if e.dense {
+					a++
+				} else {
+					a = a&^3 + 4
+				}
+			}
+		}
+		lo = blockEnd
+		if lo < hi {
+			e = t.find(lo >> blockShift)
+		}
+	}
+	return v, hi
+}
+
 // ForRange calls f for every set slot in [lo, hi) in address order, with the
 // slot's granule start address and node. A node covering several slots is
 // visited once per slot; callers coalesce by pointer identity. f returning

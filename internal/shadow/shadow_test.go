@@ -316,3 +316,40 @@ func TestQuickExpansionTransparent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRunMatchesPerAddressWalk checks Run against a per-address Get walk on
+// random layouts: sparse and dense entries, gaps, nodes enclosing other
+// nodes' slots, and ranges across blocks.
+func TestRunMatchesPerAddressWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	nodes := []*node{{1}, {2}, {3}, {4}}
+	for iter := 0; iter < 200; iter++ {
+		tab := New[*node]()
+		for k := 0; k < 6; k++ {
+			lo := uint64(rng.Intn(3 * BlockSize))
+			if rng.Intn(2) == 0 {
+				lo &^= 3 // keep some entries word-granular
+			}
+			hi := lo + uint64(1+rng.Intn(24))
+			if rng.Intn(2) == 0 {
+				hi = (hi + 3) &^ 3
+			}
+			tab.SetRange(lo, hi, nodes[rng.Intn(len(nodes))])
+		}
+		for q := 0; q < 50; q++ {
+			lo := uint64(rng.Intn(3 * BlockSize))
+			hi := lo + uint64(1+rng.Intn(2*BlockSize))
+			v, end := tab.Run(lo, hi)
+			wantEnd := hi
+			for a := lo; a < hi; a++ {
+				if s := tab.Get(a); s != nil && s != tab.Get(lo) {
+					wantEnd = a
+					break
+				}
+			}
+			if v != tab.Get(lo) || end != wantEnd {
+				t.Fatalf("Run(%#x, %#x) = %v, %#x; want %v, %#x", lo, hi, v, end, tab.Get(lo), wantEnd)
+			}
+		}
+	}
+}

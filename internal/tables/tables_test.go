@@ -2,6 +2,7 @@ package tables
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
@@ -179,15 +180,26 @@ func TestRunnerCaching(t *testing.T) {
 	}
 }
 
+// TestAverageSlowdownOrdering checks the headline claim on this subset:
+// dynamic is the fastest average. One timed run per configuration is too
+// noisy to decide it alone: adjacent runs of the same configuration differ
+// by up to ±25% on a shared 2-core host, about the size of the dynamic vs
+// byte margin (~20%). So the claim is decided by the median over
+// independent runners, each timing every configuration once.
 func TestAverageSlowdownOrdering(t *testing.T) {
-	r := quickRunner()
-	avg := r.AverageSlowdown()
-	if avg[0] <= 0 || avg[1] <= 0 || avg[2] <= 0 {
-		t.Fatalf("avg = %v", avg)
+	const runs = 9
+	ratios := make([]float64, 0, runs)
+	for i := 0; i < runs; i++ {
+		avg := quickRunner().AverageSlowdown()
+		if avg[0] <= 0 || avg[1] <= 0 || avg[2] <= 0 {
+			t.Fatalf("avg = %v", avg)
+		}
+		ratios = append(ratios, avg[2]/avg[0])
 	}
-	// The headline claim on this subset: dynamic is the fastest average.
-	if avg[2] > avg[0] {
-		t.Errorf("dynamic (%.2f) slower than byte (%.2f) on average", avg[2], avg[0])
+	sort.Float64s(ratios)
+	if med := ratios[runs/2]; med > 1 {
+		t.Errorf("dynamic slower than byte on average: median dynamic/byte slowdown ratio %.2f over %d runs %.2f",
+			med, runs, ratios)
 	}
 }
 

@@ -110,7 +110,16 @@ type Task struct {
 	// resolved component — an overlay set or a base swap — invalidate it.
 	// Zero-clock results are not cached (c == 0 marks an empty slot).
 	cache [2]pair
+	// floor remembers, per thread id slot, a value a component has
+	// reached. Components only grow — a base swap installs a dominating
+	// snapshot, overlay entries are only raised — so a floor stays a lower
+	// bound for the task's lifetime and, unlike the Get cache, survives
+	// base swaps. covers answers from it when it can.
+	floor [floorSlots]pair
 }
+
+// floorSlots is the size of Task's direct-mapped floor table.
+const floorSlots = 8
 
 // TID returns the owning thread id.
 func (k *Task) TID() TID { return k.tid }
@@ -136,6 +145,24 @@ func (k *Task) Get(t TID) Clock {
 		k.cache[0] = pair{t, c}
 	}
 	return c
+}
+
+// covers reports whether component t is at least c (Epoch.LEQ's question)
+// without walking the snapshot chain when an earlier lookup already saw
+// t at c or beyond.
+func (k *Task) covers(t TID, c Clock) bool {
+	if t == k.tid {
+		return c <= k.self
+	}
+	f := &k.floor[uint32(t)%floorSlots]
+	if f.t == t && c <= f.c {
+		return true
+	}
+	v := k.Get(t)
+	if v != 0 {
+		*f = pair{t, v}
+	}
+	return c <= v
 }
 
 // lookup resolves component t through the overlay and the snapshot chain,
@@ -581,6 +608,7 @@ func (a *Arena) NewTask(t TID, base *Snap) *Task {
 	k.dirtyFrom = 0
 	k.baseChanged = false
 	k.cache = [2]pair{}
+	k.floor = [floorSlots]pair{}
 	a.account(taskHdrBytes + pairBytes*int64(cap(k.over)))
 	return k
 }

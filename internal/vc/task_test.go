@@ -149,3 +149,62 @@ func TestChainStaysCompact(t *testing.T) {
 		t.Errorf("peak compact state %dB exceeds budget %dB", peak, 2*budget)
 	}
 }
+
+// TestTaskCoversMatchesGeneral checks covers, the floor-table shortcut of
+// Epoch.LEQ, against the dense clock the same operations build, across
+// publications, absorbs (base swaps included) and releases: covers(t, c)
+// must equal c <= v[t] for values below, at and above the true component.
+func TestTaskCoversMatchesGeneral(t *testing.T) {
+	const threads = 12 // more than the floor table's slots, so slots collide
+	rng := rand.New(rand.NewSource(11))
+	a := NewArena()
+	ms := make([]mirror, threads)
+	for i := range ms {
+		ms[i] = mirror{k: a.NewTask(TID(i), nil), v: New(threads)}
+		ms[i].v.Set(TID(i), 1)
+	}
+	var queue []snapVal
+	for step := 0; step < 3000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4:
+			m := ms[rng.Intn(threads)]
+			queue = append(queue, snapVal{s: m.k.Publish(), v: m.v.Clone()})
+			m.v.Inc(m.k.TID())
+		case op < 8 && len(queue) > 0:
+			i := rng.Intn(len(queue))
+			m := ms[rng.Intn(threads)]
+			m.k.Absorb(queue[i].s)
+			m.v.Join(queue[i].v)
+		case len(queue) > 0:
+			i := rng.Intn(len(queue))
+			a.Release(queue[i].s)
+			queue[i] = queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+		}
+		m := ms[rng.Intn(threads)]
+		u := TID(rng.Intn(threads))
+		want := m.v.Get(u)
+		for _, c := range []Clock{want - 1, want, want + 1} {
+			if c == 0 {
+				continue
+			}
+			if got := MakeEpoch(u, c).LEQ(m.k); got != (c <= want) {
+				t.Fatalf("step %d: task %d: LEQ(%d@%d) = %v, general component %d",
+					step, m.k.TID(), c, u, got, want)
+			}
+		}
+	}
+
+	// A recycled task starts without floors: the previous owner's view of
+	// thread 1 says nothing about the new owner's.
+	s := ms[1].k.Publish()
+	ms[0].k.Absorb(s)
+	a.Release(s)
+	if !MakeEpoch(1, 1).LEQ(ms[0].k) {
+		t.Fatal("task 0 absorbed thread 1's publication but does not cover 1@1")
+	}
+	a.FreeTask(ms[0].k)
+	if k := a.NewTask(0, nil); MakeEpoch(1, 1).LEQ(k) {
+		t.Fatal("a recycled task kept its previous owner's floor for thread 1")
+	}
+}

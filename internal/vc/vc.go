@@ -68,6 +68,9 @@ func (e Epoch) LEQ(v View) bool {
 	if g, ok := v.(*VC); ok {
 		return e.Clock() <= g.Get(e.TID())
 	}
+	if k, ok := v.(*Task); ok {
+		return k.covers(e.TID(), e.Clock())
+	}
 	return e.Clock() <= v.Get(e.TID())
 }
 
