@@ -20,13 +20,15 @@
 //
 // # Reconnect
 //
-// Unacknowledged frames are retained until acked. If the connection
-// drops, the client redials with exponential backoff and resumes its
-// session (Hello.Resume); the server replies with the last applied batch
-// sequence, the client replays only the frames past it, and server-side
-// sequence dedup makes the overlap harmless. A session the server has
-// already expired is a permanent error — the stream cannot be replayed
-// from the beginning — and is reported from Close.
+// Unacknowledged frames are retained until acked; an acknowledged frame's
+// buffer then carries a later batch, so steady-state streaming allocates
+// no frame buffers. If the connection drops, the client redials with
+// exponential backoff and resumes its session (Hello.Resume); the server
+// replies with the last applied batch sequence, the client replays only
+// the frames past it, and server-side sequence dedup makes the overlap
+// harmless. A session the server has already expired is a permanent
+// error — the stream cannot be replayed from the beginning — and is
+// reported from Close.
 //
 // Close flushes the partial batch, drains the sender, sends the Close
 // frame, and blocks for the server's race report (flush-on-close).
@@ -236,6 +238,11 @@ type Client struct {
 	batchSeq  uint64
 	acked     uint64
 	unacked   []sentFrame
+	// free holds the buffers of frames an ack pruned from unacked; the next
+	// batch frame is encoded into one of them. A buffer is recycled only
+	// once its frame is acknowledged, never earlier, because a resume
+	// replays every unacknowledged frame byte for byte.
+	free [][]byte
 
 	err         error
 	report      *wire.Report
@@ -466,7 +473,9 @@ func (c *Client) trackRTT() bool {
 func (c *Client) pruneAckedLocked() {
 	i := 0
 	for i < len(c.unacked) && c.unacked[i].seq <= c.acked {
-		if sf := &c.unacked[i]; !sf.sentAt.IsZero() {
+		sf := &c.unacked[i]
+		c.free = append(c.free, sf.data[:0])
+		if !sf.sentAt.IsZero() {
 			rtt := time.Since(sf.sentAt)
 			c.met.ackRTT.ObserveTraced(uint64(rtt.Nanoseconds()), sf.trace)
 			c.opts.BatchPolicy.ObserveRTT(rtt)
@@ -541,11 +550,12 @@ func (c *Client) receive(conn net.Conn, gen int) {
 
 // ---- send path ----
 
-// flushBatch is the Encoder's Flush hook: it frames the batch, recycles
-// it, and hands the frame to the sender (async) or sends it inline and
-// waits for its ack (sync). It also services the
-// adaptive policy: outbox occupancy is observed at ship time, and the
-// encoder's next flush threshold is refreshed from the policy target.
+// flushBatch is the Encoder's Flush hook: it frames the batch into a
+// recycled buffer, recycles the batch, and hands the frame to the sender
+// (async) or sends it inline and waits for its ack (sync). It also
+// services the adaptive policy: outbox occupancy is observed at ship
+// time, and the encoder's next flush threshold is refreshed from the
+// policy target.
 func (c *Client) flushBatch(b *event.Batch) {
 	n := len(b.Recs)
 	c.mu.Lock()
@@ -554,6 +564,11 @@ func (c *Client) flushBatch(b *event.Batch) {
 	session := c.sessionID
 	traced := c.traced
 	fatal := c.err != nil
+	var buf []byte
+	if k := len(c.free); k > 0 {
+		buf = c.free[k-1]
+		c.free = c.free[:k-1]
+	}
 	c.mu.Unlock()
 	if fatal {
 		event.PutBatch(b)
@@ -570,7 +585,7 @@ func (c *Client) flushBatch(b *event.Batch) {
 	if c.met.encodeNS != nil {
 		encStart = time.Now()
 	}
-	frame := wire.AppendBatchFrameTraced(nil, wire.Header{Session: session, Seq: seq}, b, trace, span)
+	frame := wire.AppendBatchFrameTraced(buf, wire.Header{Session: session, Seq: seq}, b, trace, span)
 	if c.met.encodeNS != nil {
 		c.met.encodeNS.ObserveSince(encStart)
 	}

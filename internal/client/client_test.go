@@ -6,12 +6,15 @@ import (
 	"net"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/detector"
+	"repro/internal/event"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/vc"
 	"repro/internal/wire"
 	"repro/workloads"
 )
@@ -192,6 +195,127 @@ func TestReconnectResume(t *testing.T) {
 	}
 }
 
+// lossyConn loses the next swallow frames written to it, as a link that
+// fails mid-stream loses the frames in flight, and closes the connection
+// with the last one; later writes fail on the closed connection. The
+// client writes under its mutex, so swallow needs no lock of its own.
+type lossyConn struct {
+	net.Conn
+	swallow int
+}
+
+func (l *lossyConn) Write(p []byte) (int, error) {
+	if l.swallow == 0 {
+		return l.Conn.Write(p)
+	}
+	l.swallow--
+	if l.swallow == 0 {
+		l.Conn.Close()
+	}
+	return len(p), nil
+}
+
+// dropper forwards the event stream to a Client. From the event thread,
+// each time another `every` batches have been acknowledged it makes the
+// client's link lossy (see lossyConn), up to max times, so every drop
+// leaves frames the server never saw for the resume to replay.
+type dropper struct {
+	*Client
+	every, next uint64
+	max, drops  int
+	events      int
+}
+
+func (d *dropper) Read(tid vc.TID, addr uint64, size uint32, pc event.PC) {
+	d.maybeDrop()
+	d.Client.Read(tid, addr, size, pc)
+}
+
+func (d *dropper) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
+	d.maybeDrop()
+	d.Client.Write(tid, addr, size, pc)
+}
+
+func (d *dropper) maybeDrop() {
+	if d.events++; d.drops == d.max || d.events%64 != 0 {
+		return
+	}
+	c := d.Client
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.acked < d.next || c.conn == nil || c.connDead {
+		return
+	}
+	c.conn = &lossyConn{Conn: c.conn, swallow: 2}
+	d.drops++
+	d.next = c.acked + d.every
+}
+
+// TestReconnectResumeRecycledFrames drops the link only after several
+// windows of batches have been acknowledged, so the frames the resume
+// replays sit in buffers recycled from acknowledged frames. With window
+// W, at most 2W+2 frame buffers ever exist (outbox, unacknowledged
+// window, the sender's frame and the one being encoded), so every frame
+// past sequence 2W+2, and so every frame lost here, reuses one. The
+// server must accept every replayed frame — its CRC and sequence checks
+// reject nothing; its only refusals are resumes that raced the old
+// connection's teardown — and the report must equal an undropped run's.
+func TestReconnectResumeRecycledFrames(t *testing.T) {
+	const window = 4
+	srv, addr := startServer(t, server.Options{SessionLinger: 5 * time.Second})
+	spec, err := workloads.ByName("x264")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var busy atomic.Int64 // resume handshakes refused with CodeBusy
+	opts := Options{
+		Addr:        addr,
+		Hello:       wire.Hello{Granularity: uint8(detector.Dynamic), Workers: 1},
+		Window:      window,
+		BackoffBase: time.Millisecond,
+		Logf: func(_ string, args ...any) {
+			for _, a := range args {
+				var re *RemoteError
+				if err, ok := a.(error); ok && errors.As(err, &re) && re.Code == wire.CodeBusy {
+					busy.Add(1)
+				}
+			}
+		},
+	}
+	stream := func(sink func(*Client) event.Sink) (*wire.Report, Stats) {
+		cl, err := Dial(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(spec.Build(2), sink(cl), sim.Options{Seed: 42})
+		rep, err := cl.Close()
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		return rep, cl.Stats()
+	}
+
+	want, _ := stream(func(cl *Client) event.Sink { return cl })
+	d := &dropper{every: 3 * window, next: 3 * window, max: 3}
+	got, st := stream(func(cl *Client) event.Sink { d.Client = cl; return d })
+
+	if d.drops == 0 {
+		t.Fatal("the stream ended before any drop")
+	}
+	if st.Reconnects < uint64(d.drops) || st.Resends < uint64(d.drops) {
+		t.Fatalf("%d drop(s) but %d reconnect(s), %d resend(s): every drop loses frames to replay",
+			d.drops, st.Reconnects, st.Resends)
+	}
+	if n := srv.Registry().CounterValue("racedetectd_frames_rejected_total"); n != uint64(busy.Load()) {
+		t.Fatalf("server rejected %d frame(s), of which %d were busy resumes", n, busy.Load())
+	}
+	if got.Events != want.Events || !reflect.DeepEqual(got.Races, want.Races) || got.Stats != want.Stats {
+		t.Fatalf("report after %d drop(s) differs from the undropped run:\ngot  events %d, %d races, %+v\nwant events %d, %d races, %+v",
+			d.drops, got.Events, len(got.Races), got.Stats, want.Events, len(want.Races), want.Stats)
+	}
+	t.Logf("%d drop(s): %+v", d.drops, st)
+}
+
 func TestDialFailureGivesUp(t *testing.T) {
 	// An address that refuses connections: listen, then close.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -229,5 +353,40 @@ func TestPermanentRejectionIsImmediate(t *testing.T) {
 	}
 	if re.Code != wire.CodeBadOptions {
 		t.Fatalf("code %q, want %q", re.Code, wire.CodeBadOptions)
+	}
+}
+
+// TestFrameRecycleZeroAlloc pins the allocation-free send path: once the
+// window has cycled, shipping one more full batch encodes it into the
+// buffer of a frame an ack pruned, so it allocates nothing. It drives the
+// encoder's flush hook and the ack prune directly, playing the sender and
+// the server itself: the socket write and the sender and receiver
+// goroutines are left out so their runtime allocations cannot blur the
+// count.
+func TestFrameRecycleZeroAlloc(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("pooled batches allocate under the race detector")
+	}
+	const window = 4
+	c := &Client{opts: Options{Window: window}.withDefaults(), outbox: make(chan sentFrame, 1)}
+	c.enc.Flush = c.flushBatch
+	ship := func() {
+		for i := 0; i < event.DefaultBatchSize; i++ {
+			c.Write(1, 0x1000+uint64(i%512)*8, 8, event.PC(i%7))
+		}
+		sf := <-c.outbox
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.unacked = append(c.unacked, sf)
+		if len(c.unacked) == window { // the server acknowledges a full window
+			c.acked = sf.seq
+			c.pruneAckedLocked()
+		}
+	}
+	for i := 0; i < 3*window; i++ {
+		ship()
+	}
+	if got := testing.AllocsPerRun(50, ship); got != 0 {
+		t.Fatalf("shipping a full batch after the window cycled: %v allocs/batch, want 0", got)
 	}
 }

@@ -64,6 +64,13 @@ func (c *Cols) Truncate(n int) {
 	c.Seqs = c.Seqs[:n]
 }
 
+// Move copies record src over record dst, for compacting a batch in
+// place (dst ≤ src).
+func (c *Cols) Move(dst, src int) {
+	c.Ops[dst], c.Tids[dst], c.Sizes[dst], c.PCs[dst] = c.Ops[src], c.Tids[src], c.Sizes[src], c.PCs[src]
+	c.Addrs[dst], c.Auxs[dst], c.Seqs[dst] = c.Addrs[src], c.Auxs[src], c.Seqs[src]
+}
+
 // Append adds one record to every column.
 func (c *Cols) Append(r Rec) {
 	c.Ops = append(c.Ops, r.Op)

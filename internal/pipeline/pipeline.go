@@ -18,6 +18,11 @@
 //     heap events are sequence-numbered and broadcast to every worker in
 //     stream order.
 //
+// Decoded columnar batches enter through ApplyCols, which routes them the
+// same way, or TakeCols, which also takes ownership: a one-worker
+// pipeline then ships the batch itself whenever routing would not change
+// it.
+//
 // Each worker owns a shard-constructed detector.Detector holding the
 // shadow planes and epoch bitmaps of its block subset plus a full replica
 // of the per-thread/lock/barrier vector clocks (rebuilt from the broadcast
@@ -616,6 +621,89 @@ func (p *Pipeline) ApplyCols(c *event.Cols) {
 	}
 }
 
+// TakeCols routes c like ApplyCols but takes ownership of it: the caller
+// must not touch c afterwards. On a one-worker pipeline, routing a batch
+// whose shared accesses are all non-empty and inside one shadow block
+// changes nothing but the router's non-shared filter and the Seq column,
+// so both are applied in place and c itself ships to the worker, which
+// returns it to the pool after applying it. Every other batch — on a
+// multi-worker pipeline, holding an access that routing would drop or
+// split, or longer than a routed batch — is routed record by record and
+// returned to the pool here. The remote-detection server hands each
+// decoded frame to its session this way. Must be called from the
+// execution thread.
+func (p *Pipeline) TakeCols(c *event.Cols) {
+	if len(p.workers) > 1 || !shipsWhole(c) {
+		p.ApplyCols(c)
+		event.PutCols(c)
+		return
+	}
+	k := 0
+	for i, op := range c.Ops {
+		p.seq++
+		p.events++
+		if op == event.OpRead || op == event.OpWrite {
+			if event.NonShared(c.Addrs[i]) {
+				p.nonshared++
+				continue
+			}
+			p.accesses++
+		}
+		if k != i {
+			c.Move(k, i)
+		}
+		c.Seqs[k] = p.seq
+		k++
+	}
+	c.Truncate(k)
+	if k == 0 {
+		event.PutCols(c)
+		return
+	}
+	p.shipPending(0) // records routed earlier reach the worker first
+	p.ship(0, item{c: c})
+}
+
+// shipsWhole reports whether a one-worker route of c would ship every
+// shared access unchanged: each is non-empty (routing counts an empty
+// access but ships nothing) and lies inside one shadow block (routing
+// splits it at the boundary). c must also fit one routed batch, so a
+// hand-off queues no more records per batch than routing does, whatever
+// record count a frame claims.
+func shipsWhole(c *event.Cols) bool {
+	if c.Len() > event.DefaultBatchSize {
+		return false
+	}
+	for i, op := range c.Ops {
+		if op != event.OpRead && op != event.OpWrite {
+			continue
+		}
+		lo := c.Addrs[i]
+		if event.NonShared(lo) {
+			continue
+		}
+		hi := lo + uint64(c.Sizes[i])
+		if hi <= lo || (hi-1)>>shadow.BlockShift != lo>>shadow.BlockShift {
+			return false
+		}
+	}
+	return true
+}
+
+// shipPending ships worker w's pending batch, if it has one. At most one
+// lane has a pending per worker (push and pushCols cross-ship), so this
+// cannot reorder the stream.
+func (p *Pipeline) shipPending(w int) {
+	if b := p.pending[w]; b != nil {
+		p.ship(w, item{b: b})
+		p.pending[w] = nil
+	}
+	if c := p.pendingCols[w]; c != nil {
+		p.ship(w, item{c: c})
+		p.pendingCols[w] = nil
+	}
+}
+
 // broadcastCols re-sequences record i of a columnar batch and pushes it
 // to every worker's columnar pending.
 func (p *Pipeline) broadcastCols(c *event.Cols, i int) {
@@ -732,19 +820,8 @@ func (p *Pipeline) Wait() Result {
 		return p.result
 	}
 	p.done = true
-	// At most one lane has a pending per worker (push/pushCols cross-ship),
-	// so flushing both here cannot reorder the stream.
-	for w, b := range p.pending {
-		if b != nil && len(b.Recs) > 0 {
-			p.ship(w, item{b: b})
-		}
-		p.pending[w] = nil
-	}
-	for w, c := range p.pendingCols {
-		if c != nil && c.Len() > 0 {
-			p.ship(w, item{c: c})
-		}
-		p.pendingCols[w] = nil
+	for w := range p.workers {
+		p.shipPending(w)
 	}
 	for _, w := range p.workers {
 		close(w.q)

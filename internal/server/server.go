@@ -9,13 +9,14 @@
 //
 // One Hello frame opens (or resumes) a session; a session owns one
 // pipeline.Pipeline configured from the negotiated granularity and shard
-// count. Batch frames are decoded into pooled columnar batches and routed
-// into the pipeline in sequence order; the server acknowledges applied batch
-// sequences on a negotiated cadence, which gives the client a bounded
-// in-flight window (backpressure: if the detection workers fall behind,
-// acks slow, the window fills, and the producer blocks instead of
-// ballooning server memory). Close drains the pipeline and returns the
-// merged race report.
+// count. Batch frames are decoded into pooled columnar batches and handed
+// to the pipeline in sequence order (pipeline.TakeCols: a one-worker
+// session's worker usually applies the decoded batch itself, uncopied);
+// the server acknowledges applied batch sequences on a negotiated cadence,
+// which gives the client a bounded in-flight window (backpressure: if the
+// detection workers fall behind, acks slow, the window fills, and the
+// producer blocks instead of ballooning server memory). Close drains the
+// pipeline and returns the merged race report.
 //
 // A connection drop without Close detaches the session; it lingers for
 // Options.SessionLinger so the client can reconnect and resume (replaying
@@ -333,8 +334,7 @@ func (s *Server) shedRecords(sess *session, c *event.Cols) int {
 				continue
 			}
 		}
-		c.Ops[k], c.Tids[k], c.Sizes[k], c.PCs[k] = op, c.Tids[i], c.Sizes[i], c.PCs[i]
-		c.Addrs[k], c.Auxs[k], c.Seqs[k] = c.Addrs[i], c.Auxs[i], c.Seqs[i]
+		c.Move(k, i)
 		k++
 	}
 	shed := c.Len() - k
@@ -600,7 +600,7 @@ func (s *Server) dispatch(conn net.Conn, sess *session, h wire.Header, payload [
 			dispatchSpan := telemetry.NewTraceID()
 			start := time.Now()
 			sess.pl.SetTrace(trace, dispatchSpan)
-			sess.pl.ApplyCols(c)
+			sess.pl.TakeCols(c)
 			sess.pl.SetTrace(0, 0)
 			s.tracer.RecordSpan(telemetry.SpanRecord{
 				Trace: trace, Span: dispatchSpan, Parent: clientSpan,
@@ -609,9 +609,8 @@ func (s *Server) dispatch(conn net.Conn, sess *session, h wire.Header, payload [
 				Args: map[string]any{"session": sess.id, "seq": h.Seq, "recs": n},
 			})
 		} else {
-			sess.pl.ApplyCols(c)
+			sess.pl.TakeCols(c) // the pipeline owns c from here on
 		}
-		event.PutCols(c)
 		sess.lastSeq = h.Seq
 		sess.seqApplied.Store(h.Seq)
 		sess.eventsApplied.Add(uint64(n))
