@@ -256,6 +256,15 @@ type Detector struct {
 	lastTid vc.TID
 	lastBM  *epochbitmap.Bitmap
 
+	// Thread-clock cache: a thread's clock and epoch change only at sync
+	// events, so the access path resolves them once per epoch rather than
+	// once per access. noteSync empties the cache (nowTid = vc.NoTID) before
+	// every clock-changing call, including ops of other threads: a fork,
+	// join or demotion can replace the cached thread's clock too.
+	nowTid   vc.TID
+	nowView  vc.View
+	nowEpoch vc.Epoch
+
 	// racedLocs dedups reports across the read and write planes: one
 	// location's first race is reported once even when both its read and
 	// write shadow nodes go racy.
@@ -290,6 +299,7 @@ func New(cfg Config) *Detector {
 		th:        fasttrack.NewThreads(),
 		racedLocs: make(map[uint64]bool),
 		lastTid:   vc.NoTID,
+		nowTid:    vc.NoTID,
 	}
 	d.met = cfg.Metrics
 	if d.met == nil {
@@ -366,6 +376,15 @@ func (d *Detector) bitmap(t vc.TID) *epochbitmap.Bitmap {
 	}
 	d.lastTid, d.lastBM = t, d.bitmaps[t]
 	return d.lastBM
+}
+
+// now returns tid's clock and current epoch through the thread-clock cache.
+func (d *Detector) now(tid vc.TID) (vc.View, vc.Epoch) {
+	if tid != d.nowTid {
+		d.nowView, d.nowEpoch = d.th.Now(tid)
+		d.nowTid = tid
+	}
+	return d.nowView, d.nowEpoch
 }
 
 // footprint computes the tracked address range of an access under the
@@ -456,11 +475,12 @@ func (d *Detector) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 	if d.prov != nil {
 		d.prov.noteAccess(tid, pc, lo, hi)
 	}
-	tc, e := d.th.Now(tid)
-
-	d.segments(d.write, lo, hi, func(segLo, segHi uint64, n *dyngran.Node) {
-		d.writeSegment(segLo, segHi, n, tid, tc, e, pc, bm)
-	})
+	tc, e := d.now(tid)
+	for cur := lo; cur < hi; {
+		n, segHi := segment(d.write, cur, hi)
+		d.writeSegment(cur, segHi, n, tid, tc, e, pc, bm)
+		cur = segHi
+	}
 	if d.cfg.ReadReset {
 		d.read.DeflateReads(lo, hi, tc)
 	}
@@ -579,7 +599,7 @@ func (d *Detector) raceOnWrite(n *dyngran.Node, lo, hi uint64, tid vc.TID, tc vc
 	if kind == fasttrack.NoRace {
 		return false
 	}
-	e := d.th.Epoch(tid)
+	_, e := d.now(tid)
 	n = d.write.SetRace(n, lo, hi)
 	n.W = e
 	n.PC = pc
@@ -609,11 +629,12 @@ func (d *Detector) Read(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 	if d.prov != nil {
 		d.prov.noteAccess(tid, pc, lo, hi)
 	}
-	tc, e := d.th.Now(tid)
-
-	d.segments(d.read, lo, hi, func(segLo, segHi uint64, n *dyngran.Node) {
-		d.readSegment(segLo, segHi, n, tid, tc, e, pc, bm)
-	})
+	tc, e := d.now(tid)
+	for cur := lo; cur < hi; {
+		n, segHi := segment(d.read, cur, hi)
+		d.readSegment(cur, segHi, n, tid, tc, e, pc, bm)
+		cur = segHi
+	}
 	d.trackTotal()
 }
 
@@ -833,19 +854,17 @@ func (d *Detector) markShared(p *dyngran.Plane, n *dyngran.Node, bm *epochbitmap
 	}
 }
 
-// segments walks [lo, hi) as maximal runs covered by one node (or none) and
-// applies f to each. A node's run ends at the first slot of another node:
-// a gapped node's range can enclose them (see markShared). f may mutate
-// the plane; the walk re-reads the shadow table after every step.
-func (d *Detector) segments(p *dyngran.Plane, lo, hi uint64, f func(segLo, segHi uint64, n *dyngran.Node)) {
-	for cur := lo; cur < hi; {
-		n, segHi := p.Tab.Run(cur, hi)
-		if n != nil && n.Hi < segHi {
-			segHi = n.Hi
-		}
-		f(cur, segHi, n)
-		cur = segHi
+// segment returns the node covering lo (or nil) and the end of the
+// maximal run of [lo, hi) it covers from lo. A node's run ends at the first
+// slot of another node: a gapped node's range can enclose them (see
+// markShared). Read and Write walk a footprint segment by segment and may
+// mutate the plane in between, so each step re-reads the shadow table.
+func segment(p *dyngran.Plane, lo, hi uint64) (*dyngran.Node, uint64) {
+	n, end := p.Tab.Run(lo, hi)
+	if n != nil && n.Hi < end {
+		end = n.Hi
 	}
+	return n, end
 }
 
 // ---- Synchronization events ----

@@ -27,7 +27,7 @@ func gappedWritePlane(t *testing.T) (d *Detector, outer, foreign *dyngran.Node) 
 	return d, outer, foreign
 }
 
-// TestSegmentsStopAtForeignSlot: a walk that starts in a gapped node and
+// TestSegmentsStopAtForeignSlot: a segment walk that starts in a gapped node and
 // runs into its gap must hand the gap's slots to the node that owns them.
 func TestSegmentsStopAtForeignSlot(t *testing.T) {
 	d, outer, foreign := gappedWritePlane(t)
@@ -36,9 +36,11 @@ func TestSegmentsStopAtForeignSlot(t *testing.T) {
 		n      *dyngran.Node
 	}
 	var got []seg
-	d.segments(d.write, 0x1000, 0x100c, func(lo, hi uint64, n *dyngran.Node) {
+	for lo := uint64(0x1000); lo < 0x100c; {
+		n, hi := segment(d.write, lo, 0x100c)
 		got = append(got, seg{lo, hi, n})
-	})
+		lo = hi
+	}
 	want := []seg{{0x1000, 0x1004, outer}, {0x1004, 0x1008, foreign}, {0x1008, 0x100c, outer}}
 	if len(got) != len(want) {
 		t.Fatalf("segments %v, want %v", got, want)

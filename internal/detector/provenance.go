@@ -213,9 +213,11 @@ func (f *flightRecorder) captureCmp(plane string, prevTid vc.TID, prevClock, obs
 	}
 }
 
-// noteSync is the detector-level hook: one predictable branch when
-// provenance is disabled.
+// noteSync is the detector-level hook every clock-changing sync method
+// calls first: it empties the thread-clock cache (see Detector.now) and,
+// when provenance is enabled, records the edge.
 func (d *Detector) noteSync(op string, tid vc.TID, aux uint64) {
+	d.nowTid = vc.NoTID
 	if d.prov != nil {
 		d.prov.noteSync(op, tid, aux)
 	}

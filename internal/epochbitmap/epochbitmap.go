@@ -32,9 +32,23 @@ const (
 )
 
 type chunk struct {
+	key  uint64 // chunk number (addr >> chunkShift)
 	gen  uint32
 	bits [chunkWords]uint64 // even bit: read, odd bit: write
 }
+
+// cacheWays is the size of a bitmap's chunk cache; cacheShift turns a
+// chunk hash into a cache index (its top cacheBits bits).
+const (
+	cacheBits  = 2
+	cacheWays  = 1 << cacheBits
+	cacheShift = 64 - cacheBits
+)
+
+// cacheIndex is a Fibonacci hash of chunk number key (the multiplier is
+// 2^64 / φ): arrays a power-of-two number of chunks apart would collide on
+// the key's low bits.
+func cacheIndex(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> cacheShift }
 
 // Bitmap is one thread's same-epoch filter. It is not safe for concurrent
 // use; the engine runs one virtual thread at a time so this never arises.
@@ -42,12 +56,13 @@ type Bitmap struct {
 	chunks map[uint64]*chunk
 	gen    uint32
 
-	// One-entry chunk cache: consecutive accesses overwhelmingly hit the
-	// same 2048-address chunk, so remembering the last chunk resolved
-	// skips the map lookup. Chunks are never deleted, so the cache never
-	// goes stale.
-	lastKey uint64
-	last    *chunk
+	// Chunk cache: consecutive accesses overwhelmingly hit a few
+	// 2048-address chunks (a loop over two arrays alternates between two),
+	// so the chunks resolved last sit in a small direct-mapped cache and
+	// skip the map lookup. Chunks are never deleted, so the cache never
+	// goes stale; a cached chunk of an older generation still needs its
+	// lazy reset.
+	cache [cacheWays]*chunk
 
 	bytes int64
 	// total is a running sum shared by a group of bitmaps (one detector's
@@ -70,16 +85,17 @@ func (b *Bitmap) Reset() { b.gen++ }
 func (b *Bitmap) Bytes() int64 { return b.bytes }
 
 func (b *Bitmap) chunkFor(key uint64) *chunk {
-	c := b.last
-	if c == nil || b.lastKey != key {
+	slot := &b.cache[cacheIndex(key)]
+	c := *slot
+	if c == nil || c.key != key {
 		c = b.chunks[key]
 		if c == nil {
-			c = &chunk{gen: b.gen}
+			c = &chunk{key: key, gen: b.gen}
 			b.chunks[key] = c
 			b.bytes += chunkBytes + mapSlotBytes
 			*b.total += chunkBytes + mapSlotBytes
 		}
-		b.lastKey, b.last = key, c
+		*slot = c
 	}
 	if c.gen != b.gen {
 		c.bits = [chunkWords]uint64{}
@@ -99,19 +115,28 @@ const laneRep = 0x5555555555555555
 //
 // The work is done a 64-bit word (32 addresses) at a time. Ranges that fall
 // inside one word (≤ 31 addresses, which covers every real access
-// footprint) take a single-word fast path. This is the detector's hottest
-// code — it runs on every shared access — so the fast path is what keeps
-// the same-epoch filter effectively free; longer ranges (a shared node's
-// whole range, marked by the dynamic-granularity detector) cost one word
-// operation per 32 addresses.
+// footprint) of a cached chunk already reset for the current epoch take a
+// single-word fast path. This is the detector's hottest code — it runs on
+// every shared access — so the fast path is what keeps the same-epoch
+// filter effectively free; everything else (a chunk to resolve or reset,
+// and longer ranges such as a shared node's whole range, marked by the
+// dynamic-granularity detector, at one word operation per 32 addresses)
+// takes the general path.
 func (b *Bitmap) testAndSet(lo, hi uint64, need, set uint64) bool {
-	if n := hi - lo; n > 0 && n <= 31 {
-		off := (lo & chunkMask) * 2
-		if sh := off & 63; sh+2*n <= 64 {
-			c := b.chunkFor(lo >> chunkShift)
-			return wordTestAndSet(&c.bits[off>>6], sh, n, need, set)
+	key := lo >> chunkShift
+	if c := b.cache[cacheIndex(key)]; c != nil && c.key == key && c.gen == b.gen {
+		if n := hi - lo; n > 0 && n <= 31 {
+			off := (lo & chunkMask) * 2
+			if sh := off & 63; sh+2*n <= 64 {
+				return wordTestAndSet(&c.bits[off>>6], sh, n, need, set)
+			}
 		}
 	}
+	return b.testAndSetRange(lo, hi, need, set)
+}
+
+// testAndSetRange is testAndSet's general path.
+func (b *Bitmap) testAndSetRange(lo, hi uint64, need, set uint64) bool {
 	all := true
 	for lo < hi {
 		c := b.chunkFor(lo >> chunkShift)

@@ -53,13 +53,23 @@ func (r *refBitmap) MarkWrite(lo, hi uint64) {
 	}
 }
 
+// trafficChunks are the chunk numbers TestWordFastPathEquivalence spreads
+// its traffic over: more than the chunk cache has ways, with neighbours
+// and chunks a power of two apart (whose low bits collide).
+var trafficChunks = []uint64{0, 1, 2, 3, 1 << 10, 3 << 10, 1<<10 + 1, 3 << 11, 1 << 20}
+
 // TestWordFastPathEquivalence drives randomized read/write/mark/reset
 // traffic through the bitmap and the reference model in lockstep. Range
 // sizes and offsets are chosen to land on both sides of the single-word
 // fast-path boundary (≤ 31 addresses within one 64-bit word) and to
 // straddle word and chunk boundaries, so both code paths are exercised and
-// must agree.
+// must agree. The traffic interleaves more chunks than the chunk cache
+// holds, with resets in between, so cached chunks are evicted, re-resolved
+// and lazily reset under every combination of generations.
 func TestWordFastPathEquivalence(t *testing.T) {
+	if len(trafficChunks) <= cacheWays {
+		t.Fatalf("%d traffic chunks do not exceed the %d cache ways", len(trafficChunks), cacheWays)
+	}
 	rng := rand.New(rand.NewSource(7))
 	b := New(new(int64))
 	ref := newRef()
@@ -73,6 +83,7 @@ func TestWordFastPathEquivalence(t *testing.T) {
 		case 1:
 			base = 2048 - uint64(rng.Intn(24)) // around the chunk boundary
 		}
+		base += trafficChunks[rng.Intn(len(trafficChunks))] << chunkShift
 		n := uint64(1 + rng.Intn(40)) // 1..40: crosses the 31-address limit
 		lo, hi := base, base+n
 		switch rng.Intn(6) {

@@ -46,9 +46,9 @@ func (k RaceKind) String() string {
 // join do the same through the child thread.
 type Threads struct {
 	clocks   []*vc.VC
-	locks    map[event.LockID]*vc.VC
-	readers  map[event.LockID]*vc.VC // rwlock reader-release clocks
-	barriers map[event.BarrierID]*vc.VC
+	locks    syncClocks[event.LockID]
+	readers  syncClocks[event.LockID] // rwlock reader-release clocks
+	barriers syncClocks[event.BarrierID]
 	epochs   uint64 // total epochs started, for statistics
 	pool     *vc.Pool
 
@@ -90,12 +90,62 @@ func (ts *Threads) SetPool(p *vc.Pool) { ts.pool = p }
 // NewThreads returns an empty thread-clock registry.
 func NewThreads() *Threads {
 	return &Threads{
-		locks:    make(map[event.LockID]*vc.VC),
-		readers:  make(map[event.LockID]*vc.VC),
-		barriers: make(map[event.BarrierID]*vc.VC),
-		chans:    make(map[event.ChanID]*chanClock),
-		wgs:      make(map[event.WGID]*wgClock),
+		chans: make(map[event.ChanID]*chanClock),
+		wgs:   make(map[event.WGID]*wgClock),
 	}
+}
+
+// denseSyncIDs bounds the lock and barrier ids whose clocks live in a
+// slice: the simulator hands out small dense ids, so a sync op indexes
+// instead of hashing. Every other id (the synthetic channel and WaitGroup
+// locks at 1<<30, or any id a wire client sends, negative ones included)
+// goes to the map.
+const denseSyncIDs = 4096
+
+// syncClocks holds the clocks of one kind of sync object by id.
+type syncClocks[K ~int32] struct {
+	dense  []*vc.VC // ids in [0, denseSyncIDs)
+	sparse map[K]*vc.VC
+}
+
+// get returns the clock of id, or nil.
+func (s *syncClocks[K]) get(id K) *vc.VC {
+	if uint32(id) < denseSyncIDs {
+		if int(id) < len(s.dense) {
+			return s.dense[id]
+		}
+		return nil
+	}
+	return s.sparse[id]
+}
+
+// put installs c as the clock of id.
+func (s *syncClocks[K]) put(id K, c *vc.VC) {
+	if uint32(id) < denseSyncIDs {
+		for int(id) >= len(s.dense) {
+			s.dense = append(s.dense, nil)
+		}
+		s.dense[id] = c
+		return
+	}
+	if s.sparse == nil {
+		s.sparse = make(map[K]*vc.VC)
+	}
+	s.sparse[id] = c
+}
+
+// bytes returns the accounting size of every clock held.
+func (s *syncClocks[K]) bytes() int64 {
+	var n int64
+	for _, c := range s.dense {
+		if c != nil {
+			n += clockBytes(c)
+		}
+	}
+	for _, c := range s.sparse {
+		n += clockBytes(c)
+	}
+	return n
 }
 
 // ensure returns thread t's clock, creating it at epoch 1 on first sight
@@ -154,10 +204,10 @@ func (ts *Threads) Epochs() uint64 { return ts.epochs }
 // rwlocks — every prior read release of l.
 func (ts *Threads) Acquire(t vc.TID, l event.LockID) {
 	tc := ts.demote(t, DemoteLock)
-	if lc := ts.locks[l]; lc != nil {
+	if lc := ts.locks.get(l); lc != nil {
 		ts.join(tc, lc)
 	}
-	if rc := ts.readers[l]; rc != nil {
+	if rc := ts.readers.get(l); rc != nil {
 		ts.join(tc, rc)
 	}
 }
@@ -166,10 +216,10 @@ func (ts *Threads) Acquire(t vc.TID, l event.LockID) {
 // the thread's next epoch, per DJIT+).
 func (ts *Threads) Release(t vc.TID, l event.LockID) {
 	tc := ts.demote(t, DemoteLock)
-	lc := ts.locks[l]
+	lc := ts.locks.get(l)
 	if lc == nil {
 		lc = ts.pool.Get(tc.Len())
-		ts.locks[l] = lc
+		ts.locks.put(l, lc)
 	}
 	lc.Join(tc)
 	ts.tick(t, tc)
@@ -180,7 +230,7 @@ func (ts *Threads) Release(t vc.TID, l event.LockID) {
 // not later need readers to be mutually ordered.
 func (ts *Threads) AcquireShared(t vc.TID, l event.LockID) {
 	tc := ts.demote(t, DemoteRWLock)
-	if lc := ts.locks[l]; lc != nil {
+	if lc := ts.locks.get(l); lc != nil {
 		ts.join(tc, lc)
 	}
 }
@@ -192,10 +242,10 @@ func (ts *Threads) AcquireShared(t vc.TID, l event.LockID) {
 // FastTrack representation. The release starts the reader's next epoch.
 func (ts *Threads) ReleaseShared(t vc.TID, l event.LockID) {
 	tc := ts.demote(t, DemoteRWLock)
-	rc := ts.readers[l]
+	rc := ts.readers.get(l)
 	if rc == nil {
 		rc = ts.pool.Get(tc.Len())
-		ts.readers[l] = rc
+		ts.readers.put(l, rc)
 	}
 	rc.Join(tc)
 	ts.tick(t, tc)
@@ -270,10 +320,10 @@ func (ts *Threads) Join(parent, child vc.TID) {
 // after it.
 func (ts *Threads) BarrierArrive(t vc.TID, b event.BarrierID) {
 	tc := ts.demote(t, DemoteBarrier)
-	bc := ts.barriers[b]
+	bc := ts.barriers.get(b)
 	if bc == nil {
 		bc = ts.pool.Get(tc.Len())
-		ts.barriers[b] = bc
+		ts.barriers.put(b, bc)
 	}
 	bc.Join(tc)
 	ts.tick(t, tc)
@@ -282,24 +332,14 @@ func (ts *Threads) BarrierArrive(t vc.TID, b event.BarrierID) {
 // BarrierDepart absorbs the barrier clock into t.
 func (ts *Threads) BarrierDepart(t vc.TID, b event.BarrierID) {
 	tc := ts.demote(t, DemoteBarrier)
-	if bc := ts.barriers[b]; bc != nil {
+	if bc := ts.barriers.get(b); bc != nil {
 		ts.join(tc, bc)
 	}
 }
 
 // LockClockBytes returns the accounting size of all lock and barrier clocks.
 func (ts *Threads) LockClockBytes() int64 {
-	var n int64
-	for _, c := range ts.locks {
-		n += clockBytes(c)
-	}
-	for _, c := range ts.readers {
-		n += clockBytes(c)
-	}
-	for _, c := range ts.barriers {
-		n += clockBytes(c)
-	}
-	return n
+	return ts.locks.bytes() + ts.readers.bytes() + ts.barriers.bytes()
 }
 
 // clockBytes is the accounting size of vector clock c: its storage plus a

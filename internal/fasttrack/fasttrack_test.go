@@ -1,6 +1,7 @@
 package fasttrack
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -100,6 +101,58 @@ func TestLockClockBytes(t *testing.T) {
 	ts.BarrierArrive(0, 2)
 	if ts.LockClockBytes() <= 0 {
 		t.Error("lock/barrier clocks must be accounted")
+	}
+}
+
+// TestSyncClockIDs runs the lock and barrier ops at ids on both sides of
+// the dense-table bound, a synthetic channel lock and a negative id: each
+// id must keep clocks of its own, and LockClockBytes must equal a
+// recomputation over a map of every id's clocks.
+func TestSyncClockIDs(t *testing.T) {
+	ids := []event.LockID{0, denseSyncIDs - 1, denseSyncIDs, event.ChanLock(0), -1}
+	ts := NewThreads()
+	for i, id := range ids {
+		pub := vc.TID(i)
+		ts.Release(pub, id)                        // lock clock: pub at 1
+		ts.ReleaseShared(pub, id)                  // reader clock: pub at 2
+		ts.BarrierArrive(pub, event.BarrierID(id)) // barrier clock: pub at 3
+	}
+	for k, id := range ids {
+		obs := vc.TID(len(ids) + k)
+		ts.Acquire(obs, id)
+		ts.AcquireShared(obs, id)
+		ts.BarrierDepart(obs, event.BarrierID(id))
+		for i := range ids {
+			want := vc.Clock(0)
+			if i == k {
+				want = 3
+			}
+			if got := ts.Clock(obs).Get(vc.TID(i)); got != want {
+				t.Errorf("observer of id %d sees thread %d at %d, want %d", id, i, got, want)
+			}
+		}
+	}
+
+	clocks := map[string]*vc.VC{}
+	for _, id := range ids {
+		clocks[fmt.Sprintf("lock %d", id)] = ts.locks.get(id)
+		clocks[fmt.Sprintf("readers %d", id)] = ts.readers.get(id)
+		clocks[fmt.Sprintf("barrier %d", id)] = ts.barriers.get(event.BarrierID(id))
+	}
+	distinct := map[*vc.VC]bool{}
+	var want int64
+	for name, c := range clocks {
+		if c == nil {
+			t.Fatalf("%s has no clock", name)
+		}
+		distinct[c] = true
+		want += clockBytes(c)
+	}
+	if len(distinct) != len(clocks) {
+		t.Fatalf("%d sync objects share %d clocks", len(clocks), len(distinct))
+	}
+	if got := ts.LockClockBytes(); got != want {
+		t.Fatalf("LockClockBytes = %d, map recomputation %d", got, want)
 	}
 }
 

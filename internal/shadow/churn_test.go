@@ -163,8 +163,7 @@ func TestChurnRangeNodesAcrossExpansion(t *testing.T) {
 
 // TestChurnLookupsAfterRehash fills enough distinct blocks to force several
 // grow() rehashes, then verifies every key still resolves (including through
-// the one-entry lookup cache) and that interleaved removals keep lookups
-// correct.
+// the lookup cache) and that interleaved removals keep lookups correct.
 func TestChurnLookupsAfterRehash(t *testing.T) {
 	tab := New[*node]()
 	const blocks = 2000 // well past 64*4, so grow() runs multiple times

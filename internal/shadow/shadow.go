@@ -50,15 +50,18 @@ type Table[T comparable] struct {
 	mask    uint64
 	entries int
 
-	// One-entry lookup cache: consecutive accesses overwhelmingly hit the
-	// same 128-address block, so remembering the last entry resolved turns
-	// the common-case lookup into one comparison (no hashing, no chain
-	// walk). Entries stay valid across grow (rehashing relinks the same
-	// entry objects); only remove must invalidate — which matters doubly
-	// now that removed entries are recycled: a stale cache hit would
-	// resurrect an entry that may already serve a different block.
-	lastKey uint64
-	lastEnt *entry[T]
+	// Lookup cache: consecutive accesses overwhelmingly hit a handful of
+	// 128-address blocks (a loop over two arrays alternates between two),
+	// so the entries resolved last sit in a small direct-mapped cache
+	// indexed by a Fibonacci hash of the block number, and the common-case
+	// lookup is one comparison (no chain walk). The index must be hashed:
+	// arrays a power-of-two number of blocks apart collide on their low
+	// bits. Entries stay valid across grow (rehashing relinks the same
+	// entry objects); only remove must invalidate, clearing the one slot
+	// that can hold the entry: a removed entry waits on the freelist with
+	// its old key, so a slot still holding it would hand it to the next
+	// lookup of its block.
+	cache [cacheWays]*entry[T]
 
 	// memory accounting
 	curBytes  int64
@@ -77,6 +80,14 @@ type Table[T comparable] struct {
 
 // entArenaChunk is the entry-header slab size.
 const entArenaChunk = 64
+
+// cacheWays is the size of the lookup cache; cacheShift turns a block
+// hash into a cache index (its top cacheBits bits).
+const (
+	cacheBits  = 3
+	cacheWays  = 1 << cacheBits
+	cacheShift = 64 - cacheBits
+)
 
 type entry[T comparable] struct {
 	key   uint64 // block number (addr >> blockShift)
@@ -121,12 +132,14 @@ func hashBlock(key uint64) uint64 {
 }
 
 func (t *Table[T]) find(key uint64) *entry[T] {
-	if t.lastEnt != nil && t.lastKey == key {
-		return t.lastEnt
+	h := hashBlock(key)
+	slot := &t.cache[h>>cacheShift]
+	if e := *slot; e != nil && e.key == key {
+		return e
 	}
-	for e := t.buckets[hashBlock(key)>>32&t.mask]; e != nil; e = e.next {
+	for e := t.buckets[h>>32&t.mask]; e != nil; e = e.next {
 		if e.key == key {
-			t.lastKey, t.lastEnt = key, e
+			*slot = e
 			return e
 		}
 	}
@@ -134,16 +147,11 @@ func (t *Table[T]) find(key uint64) *entry[T] {
 }
 
 func (t *Table[T]) findOrCreate(key uint64) *entry[T] {
-	if t.lastEnt != nil && t.lastKey == key {
-		return t.lastEnt
+	if e := t.find(key); e != nil {
+		return e
 	}
-	idx := hashBlock(key) >> 32 & t.mask
-	for e := t.buckets[idx]; e != nil; e = e.next {
-		if e.key == key {
-			t.lastKey, t.lastEnt = key, e
-			return e
-		}
-	}
+	h := hashBlock(key)
+	idx := h >> 32 & t.mask
 	e := t.newEntry(key)
 	e.next = t.buckets[idx]
 	t.buckets[idx] = e
@@ -152,7 +160,7 @@ func (t *Table[T]) findOrCreate(key uint64) *entry[T] {
 	if t.entries > len(t.buckets)*4 {
 		t.grow()
 	}
-	t.lastKey, t.lastEnt = key, e
+	t.cache[h>>cacheShift] = e
 	return e
 }
 
@@ -201,12 +209,13 @@ func (t *Table[T]) newEntry(key uint64) *entry[T] {
 }
 
 func (t *Table[T]) remove(e *entry[T]) {
-	if t.lastEnt == e {
-		// Invalidate the one-entry cache: e is about to be recycled and a
-		// stale hit would read (or write!) slots of an unrelated block.
-		t.lastKey, t.lastEnt = 0, nil
+	h := hashBlock(e.key)
+	if slot := &t.cache[h>>cacheShift]; *slot == e {
+		// e is about to be recycled: a stale hit would read (or write!)
+		// slots of a freelist entry or of an unrelated block.
+		*slot = nil
 	}
-	idx := hashBlock(e.key) >> 32 & t.mask
+	idx := h >> 32 & t.mask
 	p := &t.buckets[idx]
 	for *p != nil {
 		if *p == e {
@@ -407,8 +416,21 @@ func (t *Table[T]) ClearRange(lo, hi uint64) {
 func (t *Table[T]) Run(lo, hi uint64) (v T, end uint64) {
 	var zero T
 	e := t.find(lo >> blockShift)
-	if e != nil {
-		v = e.slots[e.slotIndex(lo)]
+	switch {
+	case e == nil:
+		if hi <= (lo|blockMask)+1 {
+			return v, hi // inside a block with no entry
+		}
+	case e.dense:
+		v = e.slots[lo&blockMask]
+		if hi == lo+1 {
+			return v, hi // inside lo's own slot
+		}
+	default:
+		v = e.slots[lo&blockMask>>2]
+		if hi <= lo&^3+4 {
+			return v, hi
+		}
 	}
 	for lo < hi {
 		blockEnd := (lo | blockMask) + 1

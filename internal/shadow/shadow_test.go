@@ -318,15 +318,18 @@ func TestQuickExpansionTransparent(t *testing.T) {
 }
 
 // TestRunMatchesPerAddressWalk checks Run against a per-address Get walk on
-// random layouts: sparse and dense entries, gaps, nodes enclosing other
-// nodes' slots, and ranges across blocks.
+// random layouts: sparse and dense entries, gaps, blocks with no entry,
+// nodes enclosing other nodes' slots, and ranges across blocks. Half the
+// queries are access-sized (1–8 bytes), the shape Run's one-slot and
+// empty-block early returns serve.
 func TestRunMatchesPerAddressWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	nodes := []*node{{1}, {2}, {3}, {4}}
 	for iter := 0; iter < 200; iter++ {
 		tab := New[*node]()
+		span := (3 + 3*iter%2) * BlockSize // odd layouts leave blocks empty
 		for k := 0; k < 6; k++ {
-			lo := uint64(rng.Intn(3 * BlockSize))
+			lo := uint64(rng.Intn(span))
 			if rng.Intn(2) == 0 {
 				lo &^= 3 // keep some entries word-granular
 			}
@@ -337,8 +340,11 @@ func TestRunMatchesPerAddressWalk(t *testing.T) {
 			tab.SetRange(lo, hi, nodes[rng.Intn(len(nodes))])
 		}
 		for q := 0; q < 50; q++ {
-			lo := uint64(rng.Intn(3 * BlockSize))
+			lo := uint64(rng.Intn(span))
 			hi := lo + uint64(1+rng.Intn(2*BlockSize))
+			if q%2 == 0 {
+				hi = lo + uint64(1+rng.Intn(8))
+			}
 			v, end := tab.Run(lo, hi)
 			wantEnd := hi
 			for a := lo; a < hi; a++ {
