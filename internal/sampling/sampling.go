@@ -23,11 +23,15 @@
 // mass regardless of budget; on iterating workloads it converges to the
 // budget as the run amortizes its cold start.
 //
-// The sampler is shard-safe: region state lives in an open-addressed
-// table of atomic slots updated by CAS, so it can sit in front of the
-// parallel pipeline, the remote client or the cluster fan-out sink with
-// concurrent producers. The skip path allocates nothing (the table only
-// grows when a cold site is first seen, on the forwarded path).
+// The sampler is a single-owner sink, as event.Sink requires of every
+// sink: one goroutine at a time delivers the events, so region state lives
+// in plain 16-byte slots of an open-addressed table that the producer
+// grows inline, and the forwarded/skipped tallies the credit check reads
+// are plain fields. A resolved region in its skip phase costs one load
+// and one store of its state. The skip path allocates nothing (the table
+// only grows when a region is first seen, on the forwarded path). Only
+// the global rate, which the feedback Controller sets from transport ack
+// goroutines, and the tallies Rate reads for /metrics are atomic.
 //
 // On top of the per-region decay sits a global budget (RatePermille, set
 // from race.Options.Budget): hot regions converge to the budget rate, a
@@ -39,7 +43,6 @@ package sampling
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/event"
@@ -79,7 +82,7 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// Region state packs into one uint64 so a CAS updates it atomically:
+// Region state packs into one uint64:
 //
 //	bits  0–15  remaining  accesses left in the current burst
 //	bits 16–39  skip       accesses to skip before the next refresh
@@ -89,6 +92,7 @@ const (
 	skipBits      = 24
 	gapBits       = 24
 	maxRemaining  = 1<<remainingBits - 1
+	skipMask      = (1<<skipBits - 1) << remainingBits
 	maxGapValue   = 1<<gapBits - 1
 )
 
@@ -103,19 +107,18 @@ func unpackState(s uint64) (remaining, skip, gap uint32) {
 		uint32(s >> (remainingBits + skipBits))
 }
 
-// slot is one open-addressed table entry: a PC key (stored +1 so zero
-// means empty) and the packed region state. 16 bytes, cache-line friendly.
+// slot is one open-addressed table entry: a region key (zero means empty)
+// and the packed region state. 16 bytes, four to a cache line.
 type slot struct {
-	key   atomic.Uint64
-	state atomic.Uint64
+	key, state uint64
 }
 
-// table is one immutable-size generation of the region table; Detector
-// swaps in doubled generations as sites accumulate.
-type table struct {
-	mask  uint64
-	slots []slot
-}
+// initialSlots is the region table's starting size; it doubles at 75% load.
+const initialSlots = 1024
+
+// publishEvery is how many decisions may pass between two publications of
+// the tallies Rate reads (a power of two).
+const publishEvery = 1024
 
 // Metrics is the sampler's telemetry instrument set. All fields are
 // nil-safe: NewMetrics(nil) returns no-op instruments.
@@ -135,19 +138,31 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 }
 
 // Detector wraps an underlying sink with adaptive sampling; it implements
-// event.Sink and event.GoSink and is safe for concurrent producers.
+// event.Sink and event.GoSink.
+//
+// A Detector has one owner, the producer: the goroutine that delivers
+// events to it (one at a time, as event.Sink requires) is the only one
+// that may call its Sink methods and Counts, and Counts is exact once the
+// producer has stopped. SetRatePermille, RatePermille and Rate may be
+// called from any goroutine at any time. Rate reads the tallies as the
+// producer last published them, at least every publishEvery decisions
+// and in Counts, as do the telemetry counters.
 type Detector struct {
 	opt   Options
 	under event.Sink
 
 	rate atomic.Uint32 // global budget in ‰; >=1000 → pass-through
 
-	tab    atomic.Pointer[table]
-	used   atomic.Int64
-	growMu sync.Mutex
+	// Producer-owned: the region table, the region resolved last and the
+	// exact tallies the credit check reads.
+	slots              []slot
+	used               int
+	lastKey            uint64
+	last               *slot
+	forwarded, skipped uint64
 
-	forwarded atomic.Uint64
-	skipped   atomic.Uint64
+	// The tallies as last published, for Rate from any goroutine.
+	pubForwarded, pubSkipped atomic.Uint64
 
 	met *Metrics
 }
@@ -171,8 +186,9 @@ func New(under event.Sink, opt Options) *Detector {
 	}
 	d := &Detector{opt: opt, under: under, met: NewMetrics(opt.Telemetry)}
 	d.rate.Store(opt.RatePermille)
-	t := &table{mask: 1023, slots: make([]slot, 1024)}
-	d.tab.Store(t)
+	d.slots = make([]slot, initialSlots)
+	// lastKey 0 resolves to the slot lookup(0) returns in an empty table.
+	d.last = &d.slots[0]
 	if opt.Telemetry != nil {
 		opt.Telemetry.GaugeFunc("detector_sampled_fraction",
 			"Fraction of memory accesses forwarded to the detector (1 when unsampled).",
@@ -183,7 +199,7 @@ func New(under event.Sink, opt Options) *Detector {
 
 // SetRatePermille sets the global sampling budget in ‰ (the Controller's
 // knob). Values >= 1000 turn the sampler into a pass-through; values
-// below FloorPermille are clamped up to it.
+// below FloorPermille are clamped up to it. Safe from any goroutine.
 func (d *Detector) SetRatePermille(r uint32) {
 	if r < d.opt.FloorPermille {
 		r = d.opt.FloorPermille
@@ -192,23 +208,35 @@ func (d *Detector) SetRatePermille(r uint32) {
 }
 
 // RatePermille returns the current global budget in ‰ (0 = unbudgeted
-// classic LiteRace decay).
+// classic LiteRace decay). Safe from any goroutine.
 func (d *Detector) RatePermille() uint32 { return d.rate.Load() }
 
-// Counts returns the forwarded/skipped access tallies.
+// Counts returns the forwarded/skipped access tallies and publishes them
+// for Rate and the telemetry counters. Producer only.
 func (d *Detector) Counts() (forwarded, skipped uint64) {
-	return d.forwarded.Load(), d.skipped.Load()
+	d.publish()
+	return d.forwarded, d.skipped
 }
 
-// Rate returns the effective sampling rate over the run so far (1 when no
-// access has been observed, and on the 100% pass-through lane, which
-// counts nothing).
+// Rate returns the effective sampling rate over the run so far, from the
+// last published tallies (1 when no access has been counted, and on the
+// 100% pass-through lane, which counts nothing). Safe from any goroutine;
+// it is the detector_sampled_fraction gauge.
 func (d *Detector) Rate() float64 {
-	f, s := d.Counts()
+	f, s := d.pubForwarded.Load(), d.pubSkipped.Load()
 	if f+s == 0 {
 		return 1
 	}
 	return float64(f) / float64(f+s)
+}
+
+// publish copies the producer's tallies to the atomics Rate reads and adds
+// what was decided since the last publication to the telemetry counters.
+func (d *Detector) publish() {
+	d.met.Forwarded.Add(d.forwarded - d.pubForwarded.Load())
+	d.met.Skipped.Add(d.skipped - d.pubSkipped.Load())
+	d.pubForwarded.Store(d.forwarded)
+	d.pubSkipped.Store(d.skipped)
 }
 
 // maxGap is the inter-burst gap at which a region's steady-state rate
@@ -228,77 +256,59 @@ func (d *Detector) maxGap(rate uint32) uint32 {
 	return g
 }
 
-// regionKey mixes the code site and the address block into the nonzero
-// table key. The Fibonacci multiply spreads block bits across the word so
-// (site, block) pairs rarely collide; a collision only merges two
-// regions' sampling state, never correctness.
+// regionKey mixes the code site and the address block into the table key.
+// The Fibonacci multiply spreads block bits across the word so (site,
+// block) pairs rarely collide; a collision only merges two regions'
+// sampling state, never correctness.
 func (d *Detector) regionKey(pc event.PC, addr uint64) uint64 {
 	return ((addr>>d.opt.BlockShift)+1)*0x9E3779B97F4A7C15 ^ (uint64(pc) + 1)
 }
 
-// lookup returns the slot for region key k, inserting it (state zero =
-// untouched cold region) on first sight. Lock-free except when the table
-// doubles.
+// home is key k's first probe position in a table of mask+1 slots.
+func home(k, mask uint64) uint64 { return (k * 0x9E3779B97F4A7C15 >> 32) & mask }
+
+// lookup returns the slot of region key k, inserting it (state zero =
+// untouched cold region) on first sight. An insert that brings the table
+// to 75% load doubles it first, so the slot returned is always in the
+// current table.
 func (d *Detector) lookup(k uint64) *slot {
-	h := k * 0x9E3779B97F4A7C15
-	for {
-		t := d.tab.Load()
-		idx := (h >> 32) & t.mask
-		for probe := uint64(0); probe <= t.mask; probe++ {
-			s := &t.slots[(idx+probe)&t.mask]
-			switch got := s.key.Load(); got {
-			case k:
-				return s
-			case 0:
-				if !s.key.CompareAndSwap(0, k) {
-					if s.key.Load() == k {
-						return s
-					}
-					continue // lost to a different key; keep probing
-				}
-				if n := d.used.Add(1); uint64(n)*4 >= (t.mask+1)*3 {
-					d.grow(t)
-				}
-				return s
-			}
+	mask := uint64(len(d.slots) - 1)
+	for i := home(k, mask); ; i = (i + 1) & mask {
+		s := &d.slots[i]
+		if s.key == k {
+			return s
 		}
-		// Table replaced mid-probe (or pathologically full): retry on the
-		// current generation.
-		if d.tab.Load() == t {
-			d.grow(t)
+		if s.key == 0 {
+			s.key = k
+			d.used++
+			if d.used*4 >= len(d.slots)*3 {
+				return d.grow(k)
+			}
+			return s
 		}
 	}
 }
 
-// grow doubles the region table. Region updates racing with the copy can
-// be lost; that only perturbs a sampling decision (toward forwarding a
-// fresh burst), never correctness.
-func (d *Detector) grow(old *table) {
-	d.growMu.Lock()
-	defer d.growMu.Unlock()
-	cur := d.tab.Load()
-	if cur != old {
-		return // someone else already grew past this generation
-	}
-	size := (cur.mask + 1) * 2
-	next := &table{mask: size - 1, slots: make([]slot, size)}
-	for i := range cur.slots {
-		k := cur.slots[i].key.Load()
-		if k == 0 {
+// grow doubles the region table and returns key k's slot in the new one.
+func (d *Detector) grow(k uint64) *slot {
+	old := d.slots
+	d.slots = make([]slot, 2*len(old))
+	mask := uint64(len(d.slots) - 1)
+	var ks *slot
+	for _, o := range old {
+		if o.key == 0 {
 			continue
 		}
-		st := cur.slots[i].state.Load()
-		idx := (k * 0x9E3779B97F4A7C15 >> 32) & next.mask
-		for probe := uint64(0); ; probe++ {
-			s := &next.slots[(idx+probe)&next.mask]
-			if s.key.Load() == 0 {
-				s.key.Store(k)
-				s.state.Store(st)
-				break
-			}
+		i := home(o.key, mask)
+		for d.slots[i].key != 0 {
+			i = (i + 1) & mask
+		}
+		d.slots[i] = o
+		if o.key == k {
+			ks = &d.slots[i]
 		}
 	}
-	d.tab.Store(next)
+	return ks
 }
 
 // sample decides whether this access of the region at (pc, addr block)
@@ -307,63 +317,57 @@ func (d *Detector) sample(pc event.PC, addr uint64) bool {
 	rate := d.rate.Load()
 	if rate >= 1000 {
 		// 100% budget: pure pass-through, no counters, no region state —
-		// byte-identical (and contention-identical) to no sampler.
+		// byte-identical to no sampler.
 		return true
 	}
-	s := d.lookup(d.regionKey(pc, addr))
-	var forward, firstBurst bool
-	for {
-		old := s.state.Load()
-		remaining, skip, gap := unpackState(old)
-		firstBurst = gap == 0 ||
-			(skip == 0 && remaining > 0 && gap == d.opt.BurstLength)
-		var next uint64
-		switch {
-		case remaining > 0:
-			forward = true
-			next = packState(remaining-1, skip, gap)
-		case skip > 0:
-			forward = false
-			next = packState(0, skip-1, gap)
-		case gap == 0:
-			// Untouched cold region: full first burst, no skip yet.
-			forward = true
-			next = packState(d.opt.BurstLength-1, 0, d.opt.BurstLength)
-		default:
-			// Budget refresh: the gap grows until the floor rate is reached.
-			forward = true
-			maxGap := d.maxGap(rate)
-			g := gap
-			if hi, lo := bits.Mul32(gap, d.opt.Decay); hi == 0 {
-				g = lo
-			} else {
-				g = maxGap
-			}
-			if g > maxGap {
-				g = maxGap
-			}
-			next = packState(d.opt.BurstLength-1, g, g)
-		}
-		if s.state.CompareAndSwap(old, next) {
-			break
-		}
+	k := d.regionKey(pc, addr)
+	s := d.last
+	if k != d.lastKey {
+		s = d.lookup(k)
+		d.last, d.lastKey = s, k
 	}
-	if forward && rate > 0 && !firstBurst {
-		// Global credit check: once the run-wide forwarded fraction is at
-		// the budget, only untouched-cold-region bursts may exceed it.
-		f, sk := d.forwarded.Load(), d.skipped.Load()
-		if f*1000 >= (f+sk+1)*uint64(rate) {
-			forward = false
-		}
+	var forward bool
+	if st := s.state; st&maxRemaining == 0 && st&skipMask != 0 {
+		// Skip phase, the common case once a region is hot.
+		s.state = st - 1<<remainingBits
+	} else {
+		forward = d.advance(s, rate)
 	}
 	if forward {
-		d.forwarded.Add(1)
-		d.met.Forwarded.Inc()
+		d.forwarded++
 	} else {
-		d.skipped.Add(1)
-		d.met.Skipped.Inc()
+		d.skipped++
+	}
+	if (d.forwarded+d.skipped)&(publishEvery-1) == 0 {
+		d.publish()
 	}
 	return forward
+}
+
+// advance moves a region that is not in its skip phase to its next state
+// and returns whether the access is forwarded.
+func (d *Detector) advance(s *slot, rate uint32) bool {
+	remaining, skip, gap := unpackState(s.state)
+	switch {
+	case remaining > 0:
+		s.state--
+	case gap == 0:
+		// Untouched cold region: full first burst, no skip yet.
+		s.state = packState(d.opt.BurstLength-1, 0, d.opt.BurstLength)
+	default:
+		// Budget refresh: the gap grows until the floor rate is reached.
+		g := d.maxGap(rate)
+		if hi, lo := bits.Mul32(gap, d.opt.Decay); hi == 0 && lo < g {
+			g = lo
+		}
+		s.state = packState(d.opt.BurstLength-1, g, g)
+	}
+	firstBurst := gap == 0 ||
+		(skip == 0 && remaining > 0 && gap == d.opt.BurstLength)
+	// Global credit check: once the run-wide forwarded fraction is at the
+	// budget, only untouched-cold-region bursts may exceed it.
+	return rate == 0 || firstBurst ||
+		d.forwarded*1000 < (d.forwarded+d.skipped+1)*uint64(rate)
 }
 
 // Read forwards a sampled read.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/detector"
 	"repro/internal/event"
 	"repro/internal/sim"
-	"repro/internal/vc"
 	"repro/workloads"
 )
 
@@ -193,7 +192,7 @@ func TestSetRateLiveTransition(t *testing.T) {
 }
 
 // The skip path must not allocate: once a region is hot, skipping its
-// accesses is a table lookup plus a CAS.
+// accesses is one load and one store of its state.
 func TestSkipPathZeroAlloc(t *testing.T) {
 	s := New(event.Nop{}, Options{BurstLength: 4, RatePermille: 1})
 	for i := 0; i < 10000; i++ {
@@ -207,55 +206,121 @@ func TestSkipPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// The sampler must be shard-safe: concurrent producers hammering
-// overlapping and distinct sites (forcing table growth) while the rate
-// changes underneath them. Run under -race in CI.
+// The sampler is single-owner (event.Sink: one event in flight at a
+// time), so the concurrency it has to survive is its readers': one
+// producer streams accesses through several table doublings while one
+// goroutine sweeps the budget, as the controller's ack goroutines do, and
+// another polls Rate and RatePermille, as a /metrics scrape does. Run
+// under -race in CI.
 func TestConcurrentProducers(t *testing.T) {
-	c := &event.Counter{} // not written: Nop under test avoids Counter's own races
-	_ = c
-	s := New(event.Nop{}, Options{BurstLength: 8, RatePermille: 100})
-	const producers = 8
+	c := &event.Counter{}
+	s := New(c, Options{BurstLength: 8, RatePermille: 100})
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < 20000; i++ {
-				// Shared hot sites plus per-producer cold sites: the cold
-				// tail forces the region table through several growths.
-				pc := event.PC(i % 16)
-				if i%97 == 0 {
-					pc = event.PC(1000 + p*20000 + i)
-				}
-				s.Write(vc.TID(p), uint64(i), 4, pc)
-				s.Read(vc.TID(p), uint64(i), 4, pc)
-				if i%1000 == 0 {
-					s.Acquire(vc.TID(p), 1)
-					s.Release(vc.TID(p), 1)
-				}
-			}
-		}(p)
-	}
-	done := make(chan struct{})
+	wg.Add(2)
 	go func() {
-		defer close(done)
-		// Sweep through budgeted rates and pass-through and back: the
-		// producers must survive every transition. End below 1000 so the
-		// final stretch still counts (pass-through counts nothing).
-		for r := uint32(10); r <= 910; r += 90 {
-			s.SetRatePermille(r)
-			s.SetRatePermille(1000)
-			s.SetRatePermille(r)
+		defer wg.Done()
+		// Budgeted rates only: pass-through would count nothing.
+		for {
+			for r := uint32(10); r <= 910; r += 90 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.SetRatePermille(r)
+			}
 		}
 	}()
-	wg.Wait()
-	<-done
-	f, sk := s.Counts()
-	if f == 0 {
-		t.Error("no accesses forwarded under concurrency")
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if r := s.Rate(); r < 0 || r > 1 {
+				t.Errorf("Rate %v outside [0, 1]", r)
+			}
+			if p := s.RatePermille(); p < 10 || p > 910 {
+				t.Errorf("RatePermille %d outside the sweep", p)
+			}
+		}
+	}()
+	const n = 40000
+	for i := 0; i < n; i++ {
+		// Hot sites plus a cold tail of fresh sites: the tail takes the
+		// region table through several doublings.
+		pc := event.PC(i % 16)
+		if i%5 == 0 {
+			pc = event.PC(1000 + i)
+		}
+		s.Write(0, uint64(i), 4, pc)
+		s.Read(1, uint64(i), 4, pc)
+		if i%1000 == 0 {
+			s.Acquire(0, 1)
+			s.Release(0, 1)
+		}
 	}
-	if f+sk == 0 {
-		t.Error("sampler observed nothing")
+	close(stop)
+	wg.Wait()
+
+	if len(s.slots) < 8*initialSlots {
+		t.Errorf("region table has %d slots, want at least three doublings", len(s.slots))
+	}
+	f, sk := s.Counts()
+	if f+sk != 2*n {
+		t.Errorf("forwarded+skipped = %d, want the %d accesses sent", f+sk, 2*n)
+	}
+	if got := c.Reads + c.Writes; f != got {
+		t.Errorf("forwarded %d, downstream saw %d accesses", f, got)
+	}
+	if c.Acquires != n/1000 || c.Releases != n/1000 {
+		t.Errorf("sync dropped: %d acquires, %d releases", c.Acquires, c.Releases)
+	}
+	if want := float64(f) / float64(f+sk); s.Rate() != want {
+		t.Errorf("Rate %v after Counts, want %v", s.Rate(), want)
+	}
+}
+
+// A region whose insert brings the table to 75% load triggers a doubling;
+// its first access's state must survive into the new table, so its
+// forward/skip sequence equals that of a region inserted away from a
+// doubling. Unbudgeted, so only the region's own state decides.
+func TestGrowKeepsInsertingRegion(t *testing.T) {
+	sequence := func(fill int) (seq string, grew bool) {
+		c := &event.Counter{}
+		s := New(c, Options{BurstLength: 4})
+		for i := 0; i < fill; i++ {
+			s.Write(0, 0, 4, event.PC(100+i)) // one access per fresh region
+		}
+		size := len(s.slots)
+		var b []byte
+		for i := 0; i < 64; i++ {
+			before := c.Writes
+			s.Write(0, 0x1000, 4, 7)
+			if c.Writes != before {
+				b = append(b, 'F')
+			} else {
+				b = append(b, '.')
+			}
+		}
+		return string(b), len(s.slots) > size
+	}
+	want, grew := sequence(10)
+	if grew {
+		t.Fatal("10 regions doubled the table")
+	}
+	// The inserts before the doublings to 2048, 4096 and 8192 slots.
+	for _, fill := range []int{767, 1535, 3071} {
+		got, grew := sequence(fill)
+		if !grew {
+			t.Fatalf("after %d regions the next insert did not double the table", fill)
+		}
+		if got != want {
+			t.Errorf("after %d regions, the inserting region decided\n%s\nwant\n%s", fill, got, want)
+		}
 	}
 }
 
