@@ -11,7 +11,6 @@
 //	benchtables -wire-json BENCH_wire.json           # remote-service bench
 //	benchtables -obs-json BENCH_obs.json             # telemetry overhead bench
 //	benchtables -mem-json BENCH_mem.json             # memory lane (allocs/op, shadow bytes)
-//	benchtables -clock-json BENCH_clock.json         # structure-aware clock lane (ns/event, peak clock bytes)
 //	benchtables -cluster-json BENCH_cluster.json     # sharded-cluster scaling lane (N=1/2/4 members)
 //	benchtables -sampling-json BENCH_sampling.json   # budgeted-sampling lane (races-found-vs-rate curve)
 //	benchtables -hotpath-json BENCH_hotpath.json     # columnar hot-path lane (elide × apply matrix)
@@ -59,9 +58,6 @@ func main() {
 
 		memJSON = flag.String("mem-json", "",
 			"write the memory lane (shadow bytes, live nodes, allocs/op, GC pauses per workload × granularity) to this file (e.g. BENCH_mem.json)")
-
-		clockJSON = flag.String("clock-json", "",
-			"write the structure-aware clock lane (general vs compact ns/event and peak clock bytes per Go-native workload) to this file (e.g. BENCH_clock.json)")
 
 		clusterJSON = flag.String("cluster-json", "",
 			"write the detection-cluster scaling lane (events/s and p50 fan-out latency at 1/2/4 loopback members) to this file (e.g. BENCH_cluster.json)")
@@ -156,24 +152,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *memJSON)
-		return
-	}
-
-	if *clockJSON != "" {
-		f, err := os.Create(*clockJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteClockJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *clockJSON)
 		return
 	}
 

@@ -69,7 +69,6 @@ func main() {
 		bench   = flag.String("bench", "", "benchmark to run (see -list)")
 		tool    = flag.String("tool", "fasttrack", "fasttrack | djit | drd | inspector | eraser")
 		gran    = flag.String("granularity", "dynamic", "byte | word | dynamic (fasttrack only)")
-		clock   = flag.String("clock", "general", "general | compact (fasttrack only): thread-clock representation")
 		scale   = flag.Int("scale", 1, "workload scale factor")
 		seed    = flag.Int64("seed", 42, "scheduler seed")
 		memMB   = flag.Int64("mem-limit-mb", 0, "memory budget for drd/inspector (0 = unlimited)")
@@ -172,15 +171,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown granularity %q\n", *gran)
 		os.Exit(2)
 	}
-	switch *clock {
-	case "general":
-		opts.Clock = race.ClockGeneral
-	case "compact":
-		opts.Clock = race.ClockCompact
-	default:
-		fmt.Fprintf(os.Stderr, "unknown clock mode %q\n", *clock)
-		os.Exit(2)
-	}
 
 	prog := spec.Build(*scale)
 	endBase := opts.Tracer.Span("baseline")
@@ -231,11 +221,6 @@ func main() {
 			mb(d.HashPeakBytes), mb(d.VCPeakBytes), mb(d.BitmapPeakBytes), mb(d.TotalPeakBytes))
 		fmt.Printf("clocks      %d peak vector clocks, avg sharing %.1f, same-epoch %.0f%%\n",
 			d.MaxVectorClocks, d.AvgSharing, d.SameEpochPct())
-		if opts.Clock == race.ClockCompact {
-			fmt.Printf("clock mode  compact: %d structured threads, %d demotions, %.1f KB peak compact vs %.1f KB general thread clocks\n",
-				d.ClockStructuredThreads, d.ClockDemotions,
-				float64(d.ClockCompactPeakBytes)/1024, float64(d.ClockGeneralPeakBytes)/1024)
-		}
 	} else if rep.Detector.TotalPeakBytes > 0 {
 		fmt.Printf("memory      %.2f MB peak\n", mb(rep.Detector.TotalPeakBytes))
 	}

@@ -169,24 +169,39 @@ func TestReplayedAnalysisMatchesLive(t *testing.T) {
 }
 
 // TestReplayKeepsGoSyncStructured pins replay fidelity for Go-native
-// synchronization: channel and WaitGroup edges reach the detector as
-// themselves, so compact clocks stay structured exactly as in a live run
-// instead of being demoted by lock-shaped stand-ins.
+// synchronization: on the channel and WaitGroup workloads the replayed
+// event stream equals the live one op for op, so channel and WaitGroup
+// operations reach the detector as themselves, not as the synthetic locks
+// a sink without event.GoSink receives.
 func TestReplayKeepsGoSyncStructured(t *testing.T) {
 	for _, name := range []string{"fanin", "pipedag", "workerpool"} {
 		spec, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var live, replayed collector
+		sim.Run(spec.Program(), &live, sim.Options{Seed: 42})
 		data := record(t, func(s event.Sink) { sim.Run(spec.Program(), s, sim.Options{Seed: 42}) })
-		d := detector.New(detector.Config{Granularity: detector.Dynamic, Clock: detector.ClockCompact})
-		if err := replayTrace(bytes.NewReader(data), d); err != nil {
+		if err := replayTrace(bytes.NewReader(data), &replayed); err != nil {
 			t.Fatal(err)
 		}
-		st := d.Stats()
-		if st.ClockDemotions != 0 || st.ClockStructuredThreads == 0 {
-			t.Errorf("%s: replay demoted %d threads (%d structured), want 0 demotions",
-				name, st.ClockDemotions, st.ClockStructuredThreads)
+		goSync := 0
+		for _, ev := range live.out {
+			switch op, _, _ := strings.Cut(ev, " "); op {
+			case "cs", "cr", "ca", "wd", "ww":
+				goSync++
+			}
+		}
+		if goSync == 0 {
+			t.Fatalf("%s: live run emitted no channel or WaitGroup ops", name)
+		}
+		if !reflect.DeepEqual(replayed.out, live.out) {
+			n := min(len(replayed.out), len(live.out))
+			k := 0
+			for k < n && replayed.out[k] == live.out[k] {
+				k++
+			}
+			t.Errorf("%s: replay has %d events, live %d; first difference at event %d", name, len(replayed.out), len(live.out), k)
 		}
 	}
 }

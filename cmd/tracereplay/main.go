@@ -92,7 +92,7 @@ func main() {
 	budgetFrac := 0.0
 	if *budget != "" {
 		b, err := parseBudget(*budget)
-		if err != nil || b < 0 || b > 1 {
+		if err != nil || !(b >= 0 && b <= 1) { // negated so that NaN fails
 			fatal(fmt.Errorf("bad -budget %q (want a percentage like 5%% or a fraction in (0,1])", *budget))
 		}
 		budgetFrac = b

@@ -411,18 +411,6 @@ func (s *Sink) Close() (*wire.Report, error) {
 	}
 	start := time.Now()
 	merged := wire.MergeReports(reports...)
-	// Clock statistics: sync events are broadcast, so every member's clock
-	// replica is identical; report one replica's figures (as the pipeline
-	// does across its shards) instead of the N-fold sum.
-	if len(reports) > 0 {
-		r0 := reports[0].Stats
-		merged.Stats.ClockStructuredThreads = r0.ClockStructuredThreads
-		merged.Stats.ClockDemotions = r0.ClockDemotions
-		merged.Stats.ClockCompactBytes = r0.ClockCompactBytes
-		merged.Stats.ClockCompactPeakBytes = r0.ClockCompactPeakBytes
-		merged.Stats.ClockGeneralBytes = r0.ClockGeneralBytes
-		merged.Stats.ClockGeneralPeakBytes = r0.ClockGeneralPeakBytes
-	}
 	// Router-count overrides: splitting multiplies per-member Accesses
 	// (one count per piece) and broadcasting multiplies Events; the
 	// coordinator saw each original event exactly once.

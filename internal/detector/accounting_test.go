@@ -33,25 +33,23 @@ func record(p sim.Program, seed int64) []event.Rec {
 	return recs
 }
 
-// checkBitmapTotal replays recs into a detector per granularity and clock
-// mode and compares the running bitmap total with a full recomputation
-// after every event.
+// checkBitmapTotal replays recs into a detector per granularity and
+// compares the running bitmap total with a full recomputation after every
+// event.
 func checkBitmapTotal(t *testing.T, name string, recs []event.Rec) {
 	t.Helper()
 	for _, g := range []Granularity{Byte, Word, Dynamic} {
-		for _, mode := range []ClockMode{ClockGeneral, ClockCompact} {
-			d := New(Config{Granularity: g, Clock: mode})
-			for i := range recs {
-				event.ApplyRec(d, &recs[i])
-				if got, want := d.bitmapBytes, d.bitmapBytesSlow(); got != want {
-					t.Fatalf("%s/%v/%v: event %d (%v): running bitmap total %d, recomputed %d",
-						name, g, mode, i, recs[i].Op, got, want)
-				}
+		d := New(Config{Granularity: g})
+		for i := range recs {
+			event.ApplyRec(d, &recs[i])
+			if got, want := d.bitmapBytes, d.bitmapBytesSlow(); got != want {
+				t.Fatalf("%s/%v: event %d (%v): running bitmap total %d, recomputed %d",
+					name, g, i, recs[i].Op, got, want)
 			}
-			if st := d.Stats(); st.BitmapPeakBytes != d.bitmapBytesSlow() {
-				t.Fatalf("%s/%v/%v: BitmapPeakBytes %d, bitmaps hold %d",
-					name, g, mode, st.BitmapPeakBytes, d.bitmapBytesSlow())
-			}
+		}
+		if st := d.Stats(); st.BitmapPeakBytes != d.bitmapBytesSlow() {
+			t.Fatalf("%s/%v: BitmapPeakBytes %d, bitmaps hold %d",
+				name, g, st.BitmapPeakBytes, d.bitmapBytesSlow())
 		}
 	}
 }

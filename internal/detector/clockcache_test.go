@@ -6,9 +6,10 @@ import (
 
 // The thread-clock cache (Detector.now) holds the accessing thread's clock
 // and epoch between sync events. These tests run every clock-changing Sink
-// method between two accesses by the cached thread, in both clock modes:
-// a method that left the cache in place would hand the second access a
-// stale epoch or a freed compact clock, and the verdict would change.
+// method between two accesses by the cached thread: an epoch-starting
+// method that left the cache in place would hand the second access a stale
+// epoch, and an acquire-style one that replaced the thread's clock object
+// would leave the cache on the old time. Either changes the verdict.
 
 const (
 	cacheA, cacheB = 0, 1
@@ -47,29 +48,25 @@ func TestClockCacheEpochStart(t *testing.T) {
 			func(d *Detector) { d.WGDone(cacheA, 1) },
 			func(d *Detector) { d.WGWait(cacheB, 1) }},
 	}
-	for _, mode := range []ClockMode{ClockGeneral, ClockCompact} {
-		for _, c := range cases {
-			d := New(Config{Granularity: Dynamic, Clock: mode})
-			d.Write(cacheA, cacheX, 4, 1)
-			c.op(d)
-			d.Write(cacheA, cacheX, 4, 2)
-			c.absorb(d)
-			d.Write(cacheB, cacheX, 4, 3)
-			races := d.Races()
-			if len(races) != 1 || races[0].Addr != cacheX || races[0].Tid != cacheB || races[0].PrevTid != cacheA {
-				t.Errorf("%s/%s: races %v, want one race at %#x between threads %d and %d",
-					mode, c.name, races, cacheX, cacheB, cacheA)
-			}
+	for _, c := range cases {
+		d := New(Config{Granularity: Dynamic})
+		d.Write(cacheA, cacheX, 4, 1)
+		c.op(d)
+		d.Write(cacheA, cacheX, 4, 2)
+		c.absorb(d)
+		d.Write(cacheB, cacheX, 4, 3)
+		races := d.Races()
+		if len(races) != 1 || races[0].Addr != cacheX || races[0].Tid != cacheB || races[0].PrevTid != cacheA {
+			t.Errorf("%s: races %v, want one race at %#x between threads %d and %d",
+				c.name, races, cacheX, cacheB, cacheA)
 		}
 	}
 }
 
 // TestClockCacheAbsorb: B reads y (caching its clock), absorbs A's
 // publication through an acquire-style op, then reads x, which A wrote
-// before publishing. A starts in the general representation, so in
-// compact mode every one of these ops also moves B's clock out of its
-// compact task; a stale cache would compare against the freed task and
-// report a race that does not exist.
+// before publishing. The op joins into B's clock in place; a cache that
+// kept B's pre-absorb time would report a race that does not exist.
 func TestClockCacheAbsorb(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -95,19 +92,17 @@ func TestClockCacheAbsorb(t *testing.T) {
 			func(d *Detector) { d.WGDone(cacheA, 1) },
 			func(d *Detector) { d.WGWait(cacheB, 1) }},
 	}
-	for _, mode := range []ClockMode{ClockGeneral, ClockCompact} {
-		for _, c := range cases {
-			d := New(Config{Granularity: Dynamic, Clock: mode})
-			d.Acquire(cacheA, 9) // demotes A in compact mode
-			d.Release(cacheA, 9)
-			d.Write(cacheA, cacheX, 4, 1)
-			c.publish(d)
-			d.Read(cacheB, cacheY, 4, 2)
-			c.op(d)
-			d.Read(cacheB, cacheX, 4, 3)
-			if races := d.Races(); len(races) != 0 {
-				t.Errorf("%s/%s: races %v, want none", mode, c.name, races)
-			}
+	for _, c := range cases {
+		d := New(Config{Granularity: Dynamic})
+		d.Acquire(cacheA, 9)
+		d.Release(cacheA, 9)
+		d.Write(cacheA, cacheX, 4, 1)
+		c.publish(d)
+		d.Read(cacheB, cacheY, 4, 2)
+		c.op(d)
+		d.Read(cacheB, cacheX, 4, 3)
+		if races := d.Races(); len(races) != 0 {
+			t.Errorf("%s: races %v, want none", c.name, races)
 		}
 	}
 }

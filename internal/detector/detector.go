@@ -63,28 +63,10 @@ func (g Granularity) String() string {
 	}
 }
 
-// ClockMode selects the thread-clock representation; see
-// fasttrack.ClockMode and DESIGN.md §12.
-type ClockMode = fasttrack.ClockMode
-
-// Clock modes re-exported for configuration surfaces.
-const (
-	// ClockGeneral uses pooled vector clocks for every thread (default).
-	ClockGeneral = fasttrack.ClockGeneral
-	// ClockCompact uses the structure-aware task-tree clock layer, with
-	// per-thread demotion to general clocks on unstructured sync edges.
-	ClockCompact = fasttrack.ClockCompact
-)
-
 // Config configures a Detector.
 type Config struct {
 	// Granularity selects the detection unit.
 	Granularity Granularity
-	// Clock selects the thread-clock representation. The default
-	// (ClockGeneral) is verdict-identical to ClockCompact; compact mode
-	// trades the general O(threads) clock work for near-constant-size
-	// encodings on structured (fork/join, channel, WaitGroup) sync graphs.
-	Clock ClockMode
 	// NoInitState disables the Init state (Table 5 ablation): the sharing
 	// decision is made once, at the first access, and is final.
 	NoInitState bool
@@ -214,23 +196,6 @@ type Stats struct {
 	// a detector built before the pool existed, or non-FastTrack tools).
 	VCPoolHits, VCPoolMisses uint64
 	VCInterns                uint64
-
-	// Structure-aware clock layer (Config.Clock == ClockCompact).
-	// ClockStructuredThreads is how many threads still hold compact
-	// clocks; ClockDemotions counts one-way falls to the general
-	// representation. ClockCompactBytes/PeakBytes account the compact
-	// arena (tasks, snapshots, queued publications);
-	// ClockGeneralBytes accounts general-representation thread clocks and
-	// queued vector-clock publications (in general mode, the baseline the
-	// compact layer is compared against), and ClockGeneralPeakBytes its
-	// high-water mark — the peak-to-peak counterpart of
-	// ClockCompactPeakBytes.
-	ClockStructuredThreads uint64
-	ClockDemotions         uint64
-	ClockCompactBytes      int64
-	ClockCompactPeakBytes  int64
-	ClockGeneralBytes      int64
-	ClockGeneralPeakBytes  int64
 }
 
 // Detector is the race detector; it implements event.Sink.
@@ -259,10 +224,10 @@ type Detector struct {
 	// Thread-clock cache: a thread's clock and epoch change only at sync
 	// events, so the access path resolves them once per epoch rather than
 	// once per access. noteSync empties the cache (nowTid = vc.NoTID) before
-	// every clock-changing call, including ops of other threads: a fork,
-	// join or demotion can replace the cached thread's clock too.
+	// every clock-changing call, including ops of other threads, so the
+	// cache never depends on which threads an op touches.
 	nowTid   vc.TID
-	nowView  vc.View
+	nowClock *vc.VC
 	nowEpoch vc.Epoch
 
 	// racedLocs dedups reports across the read and write planes: one
@@ -311,15 +276,6 @@ func New(cfg Config) *Detector {
 	d.vcs = vc.NewPool()
 	d.intern = vc.NewInterner(d.vcs)
 	d.th.SetPool(d.vcs)
-	d.th.SetClockMode(cfg.Clock)
-	if cfg.Shard == 0 {
-		// Sync events are broadcast to every shard, so only shard 0 feeds
-		// the (shared) clock instruments; the others would multiply them.
-		met := d.met
-		d.th.OnDemote = func(r fasttrack.DemoteReason) {
-			met.Demotions[r].Inc()
-		}
-	}
 	d.read = dyngran.NewPlane(dyngran.ReadPlane, &d.stats.Plane)
 	d.write = dyngran.NewPlane(dyngran.WritePlane, &d.stats.Plane)
 	d.read.SetPool(d.vcs)
@@ -351,16 +307,6 @@ func (d *Detector) Stats() Stats {
 	}
 	s.VCPoolHits, s.VCPoolMisses = d.vcs.Stats()
 	s.VCInterns = d.intern.Hits()
-	s.ClockStructuredThreads = uint64(d.th.StructuredThreads())
-	s.ClockDemotions, _ = d.th.Demotions()
-	s.ClockCompactBytes, s.ClockCompactPeakBytes = d.th.CompactClockBytes()
-	s.ClockGeneralBytes = d.th.GeneralClockBytes()
-	s.ClockGeneralPeakBytes = d.th.GeneralClockPeakBytes()
-	if d.cfg.Shard == 0 {
-		d.met.StructuredThreads.Set(int64(s.ClockStructuredThreads))
-		d.met.CompactClockBytes.Set(s.ClockCompactBytes)
-		d.met.GeneralClockBytes.Set(s.ClockGeneralBytes)
-	}
 	return s
 }
 
@@ -379,12 +325,12 @@ func (d *Detector) bitmap(t vc.TID) *epochbitmap.Bitmap {
 }
 
 // now returns tid's clock and current epoch through the thread-clock cache.
-func (d *Detector) now(tid vc.TID) (vc.View, vc.Epoch) {
+func (d *Detector) now(tid vc.TID) (*vc.VC, vc.Epoch) {
 	if tid != d.nowTid {
-		d.nowView, d.nowEpoch = d.th.Now(tid)
+		d.nowClock, d.nowEpoch = d.th.Now(tid)
 		d.nowTid = tid
 	}
-	return d.nowView, d.nowEpoch
+	return d.nowClock, d.nowEpoch
 }
 
 // footprint computes the tracked address range of an access under the
@@ -434,7 +380,7 @@ func (d *Detector) report(kind fasttrack.RaceKind, lo, hi uint64, tid vc.TID, pc
 
 // checkReadPlane scans the read plane in [lo, hi) for a recorded read not
 // ordered before tc (a read-write race against the current write).
-func (d *Detector) checkReadPlane(lo, hi uint64, tc vc.View) (vc.TID, event.PC, bool) {
+func (d *Detector) checkReadPlane(lo, hi uint64, tc *vc.VC) (vc.TID, event.PC, bool) {
 	for cur := lo; cur < hi; {
 		n, next := d.read.Tab.Run(cur, hi)
 		if n != nil && !n.R.LEQ(tc) {
@@ -489,7 +435,7 @@ func (d *Detector) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 
 // writeSegment handles one maximal run of a write footprint that lies in a
 // single write node (or in unshadowed memory when n is nil).
-func (d *Detector) writeSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc vc.View, e vc.Epoch, pc event.PC, bm *epochbitmap.Bitmap) {
+func (d *Detector) writeSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc *vc.VC, e vc.Epoch, pc event.PC, bm *epochbitmap.Bitmap) {
 	p := d.write
 	if n == nil {
 		// First access of the location.
@@ -583,7 +529,7 @@ func (d *Detector) maybeReshare(p *dyngran.Plane, n *dyngran.Node, bm *epochbitm
 // raceOnWrite runs the FastTrack write checks for node n (write plane) and
 // the read plane over [lo, hi); on a race it dissolves sharing, marks the
 // location, and reports. It returns true when a race was found.
-func (d *Detector) raceOnWrite(n *dyngran.Node, lo, hi uint64, tid vc.TID, tc vc.View, pc event.PC) bool {
+func (d *Detector) raceOnWrite(n *dyngran.Node, lo, hi uint64, tid vc.TID, tc *vc.VC, pc event.PC) bool {
 	kind, other := fasttrack.CheckWrite(n.W, nil, tc)
 	var otherPC event.PC
 	if kind == fasttrack.NoRace {
@@ -640,7 +586,7 @@ func (d *Detector) Read(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 
 // readSegment handles one maximal run of a read footprint within a single
 // read node (or unshadowed memory).
-func (d *Detector) readSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc vc.View, e vc.Epoch, pc event.PC, bm *epochbitmap.Bitmap) {
+func (d *Detector) readSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc *vc.VC, e vc.Epoch, pc event.PC, bm *epochbitmap.Bitmap) {
 	p := d.read
 	if n == nil {
 		d.stats.Plane.LocCreations++
@@ -719,7 +665,7 @@ func (d *Detector) readSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc vc
 // raceOnRead runs the FastTrack read check (against the write plane) for a
 // read of [lo, hi); on a race it dissolves sharing of the read node, marks
 // and reports. Returns true when a race was found.
-func (d *Detector) raceOnRead(n *dyngran.Node, lo, hi uint64, tid vc.TID, tc vc.View, pc event.PC) bool {
+func (d *Detector) raceOnRead(n *dyngran.Node, lo, hi uint64, tid vc.TID, tc *vc.VC, pc event.PC) bool {
 	wTid, wPC, raced := d.checkWritePlane(lo, hi, tc)
 	if !raced {
 		return false
@@ -732,7 +678,7 @@ func (d *Detector) raceOnRead(n *dyngran.Node, lo, hi uint64, tid vc.TID, tc vc.
 
 // checkWritePlane scans the write plane in [lo, hi) for a write not ordered
 // before tc.
-func (d *Detector) checkWritePlane(lo, hi uint64, tc vc.View) (vc.TID, event.PC, bool) {
+func (d *Detector) checkWritePlane(lo, hi uint64, tc *vc.VC) (vc.TID, event.PC, bool) {
 	for cur := lo; cur < hi; {
 		n, next := d.write.Tab.Run(cur, hi)
 		if n != nil {
@@ -751,7 +697,7 @@ func (d *Detector) checkWritePlane(lo, hi uint64, tc vc.View) (vc.TID, event.PC,
 // updateRead records a read into n's adaptive representation, accounting
 // for epoch→vector inflation. It reports whether the representation is (or
 // became) read-shared — the paper's "read-read conflict".
-func (d *Detector) updateRead(n *dyngran.Node, tid vc.TID, e vc.Epoch, tc vc.View) bool {
+func (d *Detector) updateRead(n *dyngran.Node, tid vc.TID, e vc.Epoch, tc *vc.VC) bool {
 	before := n.R.Bytes()
 	if n.R.UpdateIn(d.vcs, tid, e, tc) {
 		// Fresh inflation: many locations of an initialize-then-read region

@@ -8,7 +8,6 @@ package detector
 
 import (
 	"repro/internal/dyngran"
-	"repro/internal/fasttrack"
 	"repro/internal/telemetry"
 )
 
@@ -32,16 +31,6 @@ type Metrics struct {
 	// extension).
 	Reshares *telemetry.Counter
 
-	// Structure-aware clock layer instruments (mirroring the Clock*
-	// Stats fields): how many threads still hold compact clocks, the
-	// per-reason demotion counters, and the compact-vs-general byte
-	// gauges. Gauges are set at Stats() snapshot time by shard 0 only
-	// (sync events are broadcast, so every shard sees the same values).
-	StructuredThreads *telemetry.Gauge
-	CompactClockBytes *telemetry.Gauge
-	GeneralClockBytes *telemetry.Gauge
-	Demotions         [fasttrack.NumDemoteReasons]*telemetry.Counter
-
 	// Read / Write are the per-plane shadow instrument sets (node churn,
 	// state transitions, sharing decisions).
 	Read  *dyngran.Metrics
@@ -51,12 +40,6 @@ type Metrics struct {
 // NewMetrics registers the detector metric families on r. A nil registry
 // yields a valid, disabled Metrics (including disabled plane sets).
 func NewMetrics(r *telemetry.Registry) *Metrics {
-	var demotions [fasttrack.NumDemoteReasons]*telemetry.Counter
-	for i := range demotions {
-		demotions[i] = r.Counter("clock_demotions_total",
-			"Threads demoted from compact to general clocks, by unstructured edge kind.",
-			telemetry.Labels{"reason": fasttrack.DemoteReason(i).String()})
-	}
 	return &Metrics{
 		Accesses:           r.Counter("detector_accesses_total", "Memory-access events processed (post stack filter)."),
 		SameEpoch:          r.Counter("detector_same_epoch_hits_total", "Accesses filtered by the per-thread same-epoch bitmaps."),
@@ -66,10 +49,6 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		Races:              r.Counter("detector_races_total", "Data races reported."),
 		Suppressed:         r.Counter("detector_races_suppressed_total", "Races hidden by module suppression."),
 		Reshares:           r.Counter("detector_reshares_total", "Adaptive re-sharing decisions after the second epoch."),
-		StructuredThreads:  r.Gauge("clock_structured_threads", "Threads currently holding compact (task-tree) clocks."),
-		CompactClockBytes:  r.Gauge("clock_compact_bytes", "Live bytes of compact clock state (tasks, snapshots, queued publications)."),
-		GeneralClockBytes:  r.Gauge("clock_general_bytes", "Live bytes of general-representation thread clocks and queued publications."),
-		Demotions:          demotions,
 		Read:               dyngran.NewMetrics(r, dyngran.ReadPlane),
 		Write:              dyngran.NewMetrics(r, dyngran.WritePlane),
 	}

@@ -606,7 +606,7 @@ func (p *Plane) markRaceAround(lo, hi uint64, mid *Node) {
 // optimization: once a write dominates every read of a location, the
 // inflated read vector carries no information the write epoch doesn't, so
 // its storage can be reclaimed.
-func (p *Plane) DeflateReads(lo, hi uint64, tc vc.View) {
+func (p *Plane) DeflateReads(lo, hi uint64, tc *vc.VC) {
 	var last *Node
 	p.Tab.ForRange(lo, hi, func(_ uint64, n *Node) bool {
 		if n == last {

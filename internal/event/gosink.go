@@ -1,8 +1,7 @@
 // Go-native synchronization events: channel send/receive and WaitGroup
 // operations. These extend the pthread-shaped Sink vocabulary with the
-// primitives Go programs actually synchronize through, so the
-// structure-aware clock layer can see fork–join and handoff edges directly
-// instead of through mutex over-approximations.
+// primitives Go programs actually synchronize through, so detectors see
+// handoff edges directly instead of through mutex over-approximations.
 //
 // To avoid breaking the many existing Sink implementations, the Go surface
 // is the *optional* GoSink interface plus package-level Dispatch helpers:

@@ -52,34 +52,9 @@ type Threads struct {
 	epochs   uint64 // total epochs started, for statistics
 	pool     *vc.Pool
 
-	// Structure-aware clock mode (see structured.go). In ClockCompact
-	// mode tasks[t] holds t's compact clock until its first unstructured
-	// edge demotes it to clocks[t]; demoted[t] records the one-way fall.
-	mode    ClockMode
-	arena   *vc.Arena
-	tasks   []*vc.Task
-	demoted []bool
-	// retired[t] records a structured thread whose task was freed when its
-	// joiner absorbed the terminal snapshot; retiredTasks counts them for
-	// StructuredThreads. Retirement keeps a finished subtree from pinning
-	// the live chains (series–parallel joins have a single joiner, so the
-	// task is unreachable afterwards).
-	retired      []bool
-	retiredTasks int
-	demotions    [NumDemoteReasons]uint64
-	// OnDemote, when set, observes each demotion (telemetry hook).
-	OnDemote func(DemoteReason)
-
-	// Go-native sync-object clocks, used in both modes.
+	// Go-native sync-object clocks (see structured.go).
 	chans map[event.ChanID]*chanClock
 	wgs   map[event.WGID]*wgClock
-
-	// general is GeneralClockBytes as a running total: a general thread
-	// clock adds its size when created and its growth as it grows, a queued
-	// vector-clock publication adds its size on enqueue and subtracts it on
-	// dequeue. generalPeak is its high-water mark, sampled at the sync
-	// operations that change the general-representation footprint.
-	general, generalPeak int64
 }
 
 // SetPool binds every thread/lock/barrier clock created from now on to p,
@@ -158,37 +133,27 @@ func (ts *Threads) ensure(t vc.TID) *vc.VC {
 		c := ts.pool.Get(int(t) + 1)
 		c.Set(t, 1)
 		ts.clocks[t] = c
-		ts.general += clockBytes(c)
 		ts.epochs++
 	}
 	return ts.clocks[t]
 }
 
-// resized adds the growth of general thread clock tc since it measured
-// before bytes to the running GeneralClockBytes total. Every update of a
-// thread clock goes through it (directly or via join, tick and snapJoin).
-func (ts *Threads) resized(tc *vc.VC, before int) {
-	ts.general += int64(tc.Bytes() - before)
-}
-
-// join applies tc ⊔= o to general thread clock tc.
-func (ts *Threads) join(tc, o *vc.VC) {
-	before := tc.Bytes()
-	tc.Join(o)
-	ts.resized(tc, before)
-}
-
-// tick starts thread t's next epoch on its general clock tc.
+// tick starts thread t's next epoch on its clock tc.
 func (ts *Threads) tick(t vc.TID, tc *vc.VC) {
-	before := tc.Bytes()
 	tc.Inc(t)
-	ts.resized(tc, before)
 	ts.epochs++
 }
 
 // Clock returns thread t's current vector clock. Callers must not modify
-// it: Threads accounts every update of a thread clock.
+// it: only the sync operations of Threads advance a thread's time.
 func (ts *Threads) Clock(t vc.TID) *vc.VC { return ts.ensure(t) }
+
+// Now returns thread t's clock and its current epoch c@t: the access path
+// needs both.
+func (ts *Threads) Now(t vc.TID) (*vc.VC, vc.Epoch) {
+	c := ts.ensure(t)
+	return c, vc.MakeEpoch(t, c.Get(t))
+}
 
 // Epoch returns thread t's current epoch c@t.
 func (ts *Threads) Epoch(t vc.TID) vc.Epoch {
@@ -203,19 +168,19 @@ func (ts *Threads) Epochs() uint64 { return ts.epochs }
 // write-lock): the thread observes every prior write release and — for
 // rwlocks — every prior read release of l.
 func (ts *Threads) Acquire(t vc.TID, l event.LockID) {
-	tc := ts.demote(t, DemoteLock)
+	tc := ts.ensure(t)
 	if lc := ts.locks.get(l); lc != nil {
-		ts.join(tc, lc)
+		tc.Join(lc)
 	}
 	if rc := ts.readers.get(l); rc != nil {
-		ts.join(tc, rc)
+		tc.Join(rc)
 	}
 }
 
 // Release applies lock release: L_l ⊔= T_t, then T_t[t]++ (a release starts
 // the thread's next epoch, per DJIT+).
 func (ts *Threads) Release(t vc.TID, l event.LockID) {
-	tc := ts.demote(t, DemoteLock)
+	tc := ts.ensure(t)
 	lc := ts.locks.get(l)
 	if lc == nil {
 		lc = ts.pool.Get(tc.Len())
@@ -229,9 +194,9 @@ func (ts *Threads) Release(t vc.TID, l event.LockID) {
 // published by prior write-releases (T_t ⊔= L_l) but, unlike Acquire, does
 // not later need readers to be mutually ordered.
 func (ts *Threads) AcquireShared(t vc.TID, l event.LockID) {
-	tc := ts.demote(t, DemoteRWLock)
+	tc := ts.ensure(t)
 	if lc := ts.locks.get(l); lc != nil {
-		ts.join(tc, lc)
+		tc.Join(lc)
 	}
 }
 
@@ -241,7 +206,7 @@ func (ts *Threads) AcquireShared(t vc.TID, l event.LockID) {
 // rwlock-protected read-mostly structure still exhibit read sharing in the
 // FastTrack representation. The release starts the reader's next epoch.
 func (ts *Threads) ReleaseShared(t vc.TID, l event.LockID) {
-	tc := ts.demote(t, DemoteRWLock)
+	tc := ts.ensure(t)
 	rc := ts.readers.get(l)
 	if rc == nil {
 		rc = ts.pool.Get(tc.Len())
@@ -252,66 +217,17 @@ func (ts *Threads) ReleaseShared(t vc.TID, l event.LockID) {
 }
 
 // Fork makes the child inherit the parent's time and advances the parent's
-// epoch so later parent events are not ordered before the child's. In
-// compact mode a fresh child's clock is just the parent's fork snapshot —
-// the structured fast path: O(1) regardless of thread count.
+// epoch so later parent events are not ordered before the child's.
 func (ts *Threads) Fork(parent, child vc.TID) {
-	if ts.mode == ClockCompact {
-		if pt := ts.task(parent); pt != nil && ts.freshThread(child) {
-			snap := pt.Publish()
-			ts.growTask(child)
-			ts.tasks[child] = ts.arena.NewTask(child, snap)
-			ts.epochs += 2 // parent's new epoch + child's first
-			return
-		}
-		// Demoted parent or re-forked child: express the edge as a
-		// publish/absorb pair in whatever representations the two use.
-		cv := ts.publishVal(parent)
-		ts.absorbVal(child, cv)
-		ts.releaseVal(cv)
-		return
-	}
 	pc := ts.ensure(parent)
-	cc := ts.ensure(child)
-	ts.join(cc, pc)
+	ts.ensure(child).Join(pc)
 	ts.tick(parent, pc)
-	ts.noteGeneralPeak()
 }
 
 // Join absorbs the finished child's time into the parent. Join does not
-// start a new epoch for either side. In compact mode the joiner absorbs the
-// child's terminal snapshot and then retires the child's task: a joined
-// series–parallel subtree is unreachable (single joiner), and freeing it
-// unpins the chains its base and publication history held onto — this is
-// what keeps the finished-thread footprint O(1) where the general
-// representation keeps a dense clock per dead thread forever.
+// start a new epoch for either side.
 func (ts *Threads) Join(parent, child vc.TID) {
-	if ts.mode == ClockCompact {
-		if int(child) < len(ts.retired) && ts.retired[child] {
-			return // already joined and retired; nothing left to absorb
-		}
-		if ct := ts.task(child); ct != nil {
-			f := ct.Final()
-			if pt := ts.task(parent); pt != nil {
-				pt.Absorb(f)
-			} else {
-				ts.snapJoin(ts.ensure(parent), f)
-				ts.noteGeneralPeak()
-			}
-			ts.arena.Release(f)
-			ts.arena.FreeTask(ct)
-			ts.tasks[child] = nil
-			ts.retired[child] = true
-			ts.retiredTasks++
-			return
-		}
-		// Demoted child: the parent leaves the structured regime too.
-		cc := ts.ensure(child)
-		ts.join(ts.demote(parent, DemotePeer), cc)
-		return
-	}
-	ts.join(ts.ensure(parent), ts.ensure(child))
-	ts.noteGeneralPeak()
+	ts.ensure(parent).Join(ts.ensure(child))
 }
 
 // BarrierArrive contributes t's time to the barrier clock and starts t's
@@ -319,7 +235,7 @@ func (ts *Threads) Join(parent, child vc.TID) {
 // joined clock, ordering everything before the barrier ahead of everything
 // after it.
 func (ts *Threads) BarrierArrive(t vc.TID, b event.BarrierID) {
-	tc := ts.demote(t, DemoteBarrier)
+	tc := ts.ensure(t)
 	bc := ts.barriers.get(b)
 	if bc == nil {
 		bc = ts.pool.Get(tc.Len())
@@ -331,9 +247,9 @@ func (ts *Threads) BarrierArrive(t vc.TID, b event.BarrierID) {
 
 // BarrierDepart absorbs the barrier clock into t.
 func (ts *Threads) BarrierDepart(t vc.TID, b event.BarrierID) {
-	tc := ts.demote(t, DemoteBarrier)
+	tc := ts.ensure(t)
 	if bc := ts.barriers.get(b); bc != nil {
-		ts.join(tc, bc)
+		tc.Join(bc)
 	}
 }
 
@@ -362,7 +278,7 @@ func (r *Read) IsNone() bool { return r.V == nil && r.E.IsNone() }
 func (r *Read) Shared() bool { return r.V != nil }
 
 // LEQ reports whether every recorded read happens before the time v.
-func (r *Read) LEQ(v vc.View) bool {
+func (r *Read) LEQ(v *vc.VC) bool {
 	if r.V != nil {
 		return r.V.LEQ(v)
 	}
@@ -370,7 +286,7 @@ func (r *Read) LEQ(v vc.View) bool {
 }
 
 // RacingTID names a thread whose recorded read is not ordered before v.
-func (r *Read) RacingTID(v vc.View) vc.TID {
+func (r *Read) RacingTID(v *vc.VC) vc.TID {
 	if r.V != nil {
 		return r.V.AnyGT(v)
 	}
@@ -433,13 +349,13 @@ func (r *Read) Bytes() int {
 // read happens-before this one the epoch form suffices; otherwise the
 // representation inflates to a vector clock. It reports whether the
 // representation changed from epoch to vector (for accounting).
-func (r *Read) Update(t vc.TID, e vc.Epoch, tc vc.View) (inflated bool) {
+func (r *Read) Update(t vc.TID, e vc.Epoch, tc *vc.VC) (inflated bool) {
 	return r.UpdateIn(nil, t, e, tc)
 }
 
 // UpdateIn is Update with the inflation vector (when one is created) served
 // by pool p; a nil pool falls back to plain heap allocation.
-func (r *Read) UpdateIn(p *vc.Pool, t vc.TID, e vc.Epoch, tc vc.View) (inflated bool) {
+func (r *Read) UpdateIn(p *vc.Pool, t vc.TID, e vc.Epoch, tc *vc.VC) (inflated bool) {
 	if r.V != nil {
 		r.V.Set(t, e.Clock())
 		return false
@@ -458,10 +374,9 @@ func (r *Read) UpdateIn(p *vc.Pool, t vc.TID, e vc.Epoch, tc vc.View) (inflated 
 }
 
 // CheckWrite applies FastTrack's write checks against a location's write
-// epoch w and read representation r, for a thread with clock tc (general or
-// compact — any clock View). It returns the race found (NoRace if none) and
-// the id of the other thread involved.
-func CheckWrite(w vc.Epoch, r *Read, tc vc.View) (RaceKind, vc.TID) {
+// epoch w and read representation r, for a thread with clock tc. It returns
+// the race found (NoRace if none) and the id of the other thread involved.
+func CheckWrite(w vc.Epoch, r *Read, tc *vc.VC) (RaceKind, vc.TID) {
 	if !w.LEQ(tc) {
 		return WriteWrite, w.TID()
 	}
@@ -473,7 +388,7 @@ func CheckWrite(w vc.Epoch, r *Read, tc vc.View) (RaceKind, vc.TID) {
 
 // CheckRead applies FastTrack's read check: a read races with the last
 // write unless that write happens before the reader.
-func CheckRead(w vc.Epoch, tc vc.View) (RaceKind, vc.TID) {
+func CheckRead(w vc.Epoch, tc *vc.VC) (RaceKind, vc.TID) {
 	if !w.LEQ(tc) {
 		return WriteRead, w.TID()
 	}

@@ -837,20 +837,9 @@ func (p *Pipeline) Wait() Result {
 func (p *Pipeline) merge() Result {
 	var tagged []seqRace
 	var st detector.Stats
-	for i, w := range p.workers {
+	for _, w := range p.workers {
 		tagged = append(tagged, w.races...)
 		ws := w.det.Stats()
-		if i == 0 {
-			// Sync events are broadcast, so every shard's clock replica is
-			// identical; take the clock-layer statistics from one shard
-			// instead of summing N copies.
-			st.ClockStructuredThreads = ws.ClockStructuredThreads
-			st.ClockDemotions = ws.ClockDemotions
-			st.ClockCompactBytes = ws.ClockCompactBytes
-			st.ClockCompactPeakBytes = ws.ClockCompactPeakBytes
-			st.ClockGeneralBytes = ws.ClockGeneralBytes
-			st.ClockGeneralPeakBytes = ws.ClockGeneralPeakBytes
-		}
 		st.SameEpoch += ws.SameEpoch
 		st.HashPeakBytes += ws.HashPeakBytes
 		st.VCPeakBytes += ws.VCPeakBytes

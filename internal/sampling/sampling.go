@@ -78,7 +78,8 @@ type Options struct {
 	RatePermille uint32
 	// Telemetry, when non-nil, registers sampling_forwarded_total /
 	// sampling_skipped_total counters and the detector_sampled_fraction
-	// gauge on the registry.
+	// gauge on the registry. Samplers sharing a registry share the
+	// counters, and the gauge is their ratio.
 	Telemetry *telemetry.Registry
 }
 
@@ -190,9 +191,12 @@ func New(under event.Sink, opt Options) *Detector {
 	// lastKey 0 resolves to the slot lookup(0) returns in an empty table.
 	d.last = &d.slots[0]
 	if opt.Telemetry != nil {
+		// The registry keeps the first gauge registered under this name, so
+		// the gauge reads the shared counters, not this sampler's tallies.
+		fwd, skip := d.met.Forwarded, d.met.Skipped
 		opt.Telemetry.GaugeFunc("detector_sampled_fraction",
 			"Fraction of memory accesses forwarded to the detector (1 when unsampled).",
-			d.Rate)
+			func() float64 { return fraction(fwd.Load(), skip.Load()) })
 	}
 	return d
 }
@@ -220,10 +224,14 @@ func (d *Detector) Counts() (forwarded, skipped uint64) {
 
 // Rate returns the effective sampling rate over the run so far, from the
 // last published tallies (1 when no access has been counted, and on the
-// 100% pass-through lane, which counts nothing). Safe from any goroutine;
-// it is the detector_sampled_fraction gauge.
+// 100% pass-through lane, which counts nothing). Safe from any goroutine.
 func (d *Detector) Rate() float64 {
-	f, s := d.pubForwarded.Load(), d.pubSkipped.Load()
+	return fraction(d.pubForwarded.Load(), d.pubSkipped.Load())
+}
+
+// fraction is the forwarded share of f forwarded and s skipped accesses,
+// 1 when none was counted.
+func fraction(f, s uint64) float64 {
 	if f+s == 0 {
 		return 1
 	}

@@ -704,9 +704,6 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 	if hello.Workers < 0 {
 		return nil, ack, &protoErr{wire.CodeBadOptions, fmt.Sprintf("negative workers %d", hello.Workers)}
 	}
-	if m := detector.ClockMode(hello.Clock); m != detector.ClockGeneral && m != detector.ClockCompact {
-		return nil, ack, &protoErr{wire.CodeBadOptions, fmt.Sprintf("unknown clock mode %d", hello.Clock)}
-	}
 	// Trace and provenance grants: the client asks, the server grants
 	// unless operationally disabled, and absence on either side means off.
 	traced := hello.Trace && !s.opts.NoTrace
@@ -799,7 +796,6 @@ func (s *Server) openSession(hello wire.Hello, conn net.Conn) (*session, wire.He
 				WriteGuidedReads: hello.WriteGuidedReads,
 				ReadReset:        hello.ReadReset,
 				ReshareInterval:  hello.ReshareInterval,
-				Clock:            detector.ClockMode(hello.Clock),
 				Provenance:       prov,
 			},
 			// Per-session labeled view: the session's pipeline/detector

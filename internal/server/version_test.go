@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,13 +13,16 @@ import (
 	"repro/internal/detector"
 	"repro/internal/event"
 	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/wire"
+	"repro/workloads"
 )
 
-// handshake dials addr, sends hello, and returns the connection, a frame
-// reader on it, and the decoded HelloAck. The connection is closed at
-// test cleanup.
-func handshake(t *testing.T, addr string, hello wire.Hello) (net.Conn, *wire.Reader, wire.HelloAck) {
+// handshake dials addr, sends hello (a wire.Hello, or a json.RawMessage
+// for a Hello the current type cannot express), and returns the
+// connection, a frame reader on it, and the decoded HelloAck. The
+// connection is closed at test cleanup.
+func handshake(t *testing.T, addr string, hello any) (net.Conn, *wire.Reader, wire.HelloAck) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -207,5 +213,57 @@ func TestResumeAfterDrop(t *testing.T) {
 			}
 			return
 		}
+	}
+}
+
+// TestHelloIgnoresLegacyClockField pins compatibility with clients built
+// while Hello still selected a thread-clock representation: a Hello whose
+// JSON carries "clock":1 opens a session, and that session reports the
+// same races for a channel workload as one whose Hello lacks the field.
+func TestHelloIgnoresLegacyClockField(t *testing.T) {
+	_, addr := startServer(t, server.Options{})
+	spec, err := workloads.ByName("fanin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batches []*event.Batch
+	enc := &event.Encoder{Flush: func(b *event.Batch) { batches = append(batches, b) }}
+	sim.Run(spec.Program(), enc, sim.Options{Seed: 42})
+	enc.Close()
+
+	races := func(hello string) []wire.ReportRace {
+		conn, rd, ack := handshake(t, addr, json.RawMessage(hello))
+		var frames []byte
+		for i, b := range batches {
+			frames = wire.AppendBatchFrame(frames, wire.Header{Session: ack.SessionID, Seq: uint64(i + 1)}, b)
+		}
+		frames = wire.AppendFrame(frames, wire.Header{
+			Type: wire.TypeClose, Session: ack.SessionID, Seq: uint64(len(batches)),
+		}, nil)
+		if _, err := conn.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			h, payload, err := rd.ReadFrame()
+			if err != nil {
+				t.Fatalf("reading report: %v", err)
+			}
+			if h.Type == wire.TypeReport {
+				var rep wire.Report
+				if err := wire.UnmarshalControl(payload, &rep); err != nil {
+					t.Fatal(err)
+				}
+				return rep.Races
+			}
+		}
+	}
+	base := fmt.Sprintf(`{"version":%d,"granularity":%d,"workers":1,"window":64`, wire.Version, detector.Dynamic)
+	want := races(base + `}`)
+	got := races(base + `,"clock":1}`)
+	if len(want) == 0 {
+		t.Fatal("fanin reported no races; the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Hello with \"clock\":1 reports %d races, without it %d:\n%v\n%v", len(got), len(want), got, want)
 	}
 }

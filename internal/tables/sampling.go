@@ -32,10 +32,6 @@ type SamplingRow struct {
 	Races           int     `json:"races"`
 	ExhaustiveRaces int     `json:"exhaustive_races"`
 	Recall          float64 `json:"recall"`
-	DetectSeconds   float64 `json:"detect_seconds"`
-	// SpeedupVsExhaustive is exhaustive wall time over this row's: the
-	// overhead the budget buys back.
-	SpeedupVsExhaustive float64 `json:"speedup_vs_exhaustive"`
 }
 
 // SamplingCurvePoint aggregates one budget across every workload: the
@@ -87,13 +83,9 @@ func (r *Runner) SamplingBench(budgets []float64) ([]SamplingRow, []SamplingCurv
 				Races:           found,
 				ExhaustiveRaces: len(full.Races),
 				Recall:          1,
-				DetectSeconds:   rep.Elapsed.Seconds(),
 			}
 			if len(full.Races) > 0 {
 				row.Recall = float64(found) / float64(len(full.Races))
-			}
-			if rep.Elapsed > 0 {
-				row.SpeedupVsExhaustive = float64(full.Elapsed) / float64(rep.Elapsed)
 			}
 			rows = append(rows, row)
 			agg[i].MeanSampledFraction += row.SampledFraction
@@ -120,7 +112,6 @@ type SamplingBenchJSON struct {
 		Scale      int   `json:"scale"`
 		Seed       int64 `json:"seed"`
 		GOMAXPROCS int   `json:"gomaxprocs"`
-		TimingRuns int   `json:"timing_runs"`
 	} `json:"config"`
 	Curve []SamplingCurvePoint `json:"curve"`
 	Rows  []SamplingRow        `json:"rows"`
@@ -133,7 +124,6 @@ func (r *Runner) WriteSamplingJSON(w io.Writer, budgets []float64) error {
 	out.Config.Scale = r.cfg.Scale
 	out.Config.Seed = r.cfg.Seed
 	out.Config.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	out.Config.TimingRuns = r.cfg.TimingRuns
 	out.Rows, out.Curve = r.SamplingBench(budgets)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -104,8 +104,8 @@ func optsKey(o race.Options) string {
 		o.Tool, o.Granularity, o.NoInitState, o.NoInitSharing,
 		o.WriteGuidedReads, o.ReshareInterval, o.MemLimitBytes, o.Timeout,
 		o.Workers, o.MaxEvents, o.Remote, o.RemoteSync) +
-		fmt.Sprintf("/bp=%s/clk=%d/clus=%s/bud=%g/el=%v",
-			o.BatchPolicy, o.Clock, strings.Join(o.Cluster, ","),
+		fmt.Sprintf("/bp=%s/clus=%s/bud=%g/el=%v",
+			o.BatchPolicy, strings.Join(o.Cluster, ","),
 			o.Budget, o.Elide)
 }
 

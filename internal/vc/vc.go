@@ -57,19 +57,11 @@ func (e Epoch) Clock() Clock { return Clock(e >> 32) }
 func (e Epoch) IsNone() bool { return e == EpochNone }
 
 // LEQ reports whether the access recorded by e happens-before-or-equals the
-// receiver thread's view v, i.e. e.Clock() <= v[e.TID()]. An empty epoch
-// trivially happens before everything. The parameter is a View so detectors
-// can compare against either a general *VC or a compact *Task clock; the
-// *VC type assertion keeps the general hot path free of interface dispatch.
-func (e Epoch) LEQ(v View) bool {
+// receiver thread's clock v, i.e. e.Clock() <= v[e.TID()]. An empty epoch
+// trivially happens before everything.
+func (e Epoch) LEQ(v *VC) bool {
 	if e.IsNone() {
 		return true
-	}
-	if g, ok := v.(*VC); ok {
-		return e.Clock() <= g.Get(e.TID())
-	}
-	if k, ok := v.(*Task); ok {
-		return k.covers(e.TID(), e.Clock())
 	}
 	return e.Clock() <= v.Get(e.TID())
 }
@@ -204,16 +196,7 @@ func (v *VC) Clone() *VC {
 // LEQ reports the pointwise order v ≤ o, i.e. every event v has observed is
 // also observed by o. This realizes happens-before: a ≤ b for the recording
 // clocks of two access histories means every access in a is ordered before b.
-// o is a View so recorded histories compare against compact clocks too.
-func (v *VC) LEQ(o View) bool {
-	if g, ok := o.(*VC); ok {
-		for i, c := range v.c {
-			if c > g.Get(TID(i)) {
-				return false
-			}
-		}
-		return true
-	}
+func (v *VC) LEQ(o *VC) bool {
 	for i, c := range v.c {
 		if c > o.Get(TID(i)) {
 			return false
@@ -241,7 +224,7 @@ func (v *VC) Equal(o *VC) bool {
 
 // AnyGT returns the id of some thread t with v[t] > o[t], or NoTID when
 // v ≤ o. Detectors use it to name the racing remote thread.
-func (v *VC) AnyGT(o View) TID {
+func (v *VC) AnyGT(o *VC) TID {
 	for i, c := range v.c {
 		if c > o.Get(TID(i)) {
 			return TID(i)

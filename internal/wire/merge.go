@@ -107,12 +107,6 @@ func mergeStats(a, b ReportStats) ReportStats {
 	a.LocCreations += b.LocCreations
 	a.Merges += b.Merges
 	a.Splits += b.Splits
-	a.ClockStructuredThreads += b.ClockStructuredThreads
-	a.ClockDemotions += b.ClockDemotions
-	a.ClockCompactBytes += b.ClockCompactBytes
-	a.ClockCompactPeakBytes += b.ClockCompactPeakBytes
-	a.ClockGeneralBytes += b.ClockGeneralBytes
-	a.ClockGeneralPeakBytes += b.ClockGeneralPeakBytes
 	a.ShedRecords += b.ShedRecords
 	a.Elided += b.Elided
 	return a

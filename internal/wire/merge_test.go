@@ -42,13 +42,6 @@ func randomReport(rng *rand.Rand, shard uint64) Report {
 		LocCreations:       uint64(rng.Intn(1 << 16)),
 		Merges:             uint64(rng.Intn(1 << 12)),
 		Splits:             uint64(rng.Intn(1 << 12)),
-
-		ClockStructuredThreads: uint64(rng.Intn(64)),
-		ClockDemotions:         uint64(rng.Intn(64)),
-		ClockCompactBytes:      int64(rng.Intn(1 << 16)),
-		ClockCompactPeakBytes:  int64(rng.Intn(1 << 16)),
-		ClockGeneralBytes:      int64(rng.Intn(1 << 16)),
-		ClockGeneralPeakBytes:  int64(rng.Intn(1 << 16)),
 	}
 	return r
 }
@@ -138,8 +131,6 @@ func TestMergeStatsSumsExact(t *testing.T) {
 		{"LocCreations", m.Stats.LocCreations, sum(func(s ReportStats) uint64 { return s.LocCreations })},
 		{"Merges", m.Stats.Merges, sum(func(s ReportStats) uint64 { return s.Merges })},
 		{"Splits", m.Stats.Splits, sum(func(s ReportStats) uint64 { return s.Splits })},
-		{"ClockStructuredThreads", m.Stats.ClockStructuredThreads, sum(func(s ReportStats) uint64 { return s.ClockStructuredThreads })},
-		{"ClockDemotions", m.Stats.ClockDemotions, sum(func(s ReportStats) uint64 { return s.ClockDemotions })},
 	}
 	for _, c := range intChecks {
 		if c.got != c.want {
@@ -156,10 +147,6 @@ func TestMergeStatsSumsExact(t *testing.T) {
 		{"BitmapPeakBytes", m.Stats.BitmapPeakBytes, sumI(func(s ReportStats) int64 { return s.BitmapPeakBytes })},
 		{"TotalPeakBytes", m.Stats.TotalPeakBytes, sumI(func(s ReportStats) int64 { return s.TotalPeakBytes })},
 		{"NodesPeak", m.Stats.NodesPeak, sumI(func(s ReportStats) int64 { return s.NodesPeak })},
-		{"ClockCompactBytes", m.Stats.ClockCompactBytes, sumI(func(s ReportStats) int64 { return s.ClockCompactBytes })},
-		{"ClockCompactPeakBytes", m.Stats.ClockCompactPeakBytes, sumI(func(s ReportStats) int64 { return s.ClockCompactPeakBytes })},
-		{"ClockGeneralBytes", m.Stats.ClockGeneralBytes, sumI(func(s ReportStats) int64 { return s.ClockGeneralBytes })},
-		{"ClockGeneralPeakBytes", m.Stats.ClockGeneralPeakBytes, sumI(func(s ReportStats) int64 { return s.ClockGeneralPeakBytes })},
 	}
 	for _, c := range byteChecks {
 		if c.got != c.want {

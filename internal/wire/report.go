@@ -50,13 +50,6 @@ func FromResult(res pipeline.Result) Report {
 		LocCreations:       st.Plane.LocCreations,
 		Merges:             st.Plane.Merges,
 		Splits:             st.Plane.Splits,
-
-		ClockStructuredThreads: st.ClockStructuredThreads,
-		ClockDemotions:         st.ClockDemotions,
-		ClockCompactBytes:      st.ClockCompactBytes,
-		ClockCompactPeakBytes:  st.ClockCompactPeakBytes,
-		ClockGeneralBytes:      st.ClockGeneralBytes,
-		ClockGeneralPeakBytes:  st.ClockGeneralPeakBytes,
 	}
 	return out
 }
@@ -126,11 +119,5 @@ func (r Report) DetectorStats() detector.Stats {
 	st.Plane.LocCreations = s.LocCreations
 	st.Plane.Merges = s.Merges
 	st.Plane.Splits = s.Splits
-	st.ClockStructuredThreads = s.ClockStructuredThreads
-	st.ClockDemotions = s.ClockDemotions
-	st.ClockCompactBytes = s.ClockCompactBytes
-	st.ClockCompactPeakBytes = s.ClockCompactPeakBytes
-	st.ClockGeneralBytes = s.ClockGeneralBytes
-	st.ClockGeneralPeakBytes = s.ClockGeneralPeakBytes
 	return st
 }

@@ -267,10 +267,6 @@ type Hello struct {
 	WriteGuidedReads bool   `json:"write_guided_reads,omitempty"`
 	ReadReset        bool   `json:"read_reset,omitempty"`
 	ReshareInterval  uint8  `json:"reshare_interval,omitempty"`
-	// Clock selects the thread-clock representation (detector.ClockMode):
-	// 0 general vector clocks, 1 compact task-tree clocks with demotion.
-	// Absent (0) from pre-clock clients, preserving general-mode behavior.
-	Clock uint8 `json:"clock,omitempty"`
 	// Trace asks the server to accept FlagTraced batch frames carrying a
 	// span-context payload prefix (see trace.go). Absent (false) from
 	// pre-trace clients; the client only emits traced frames after the
@@ -352,14 +348,6 @@ type ReportStats struct {
 	LocCreations       uint64  `json:"loc_creations"`
 	Merges             uint64  `json:"merges"`
 	Splits             uint64  `json:"splits"`
-	// Structure-aware clock layer (zero unless the session negotiated
-	// compact clocks).
-	ClockStructuredThreads uint64 `json:"clock_structured_threads,omitempty"`
-	ClockDemotions         uint64 `json:"clock_demotions,omitempty"`
-	ClockCompactBytes      int64  `json:"clock_compact_bytes,omitempty"`
-	ClockCompactPeakBytes  int64  `json:"clock_compact_peak_bytes,omitempty"`
-	ClockGeneralBytes      int64  `json:"clock_general_bytes,omitempty"`
-	ClockGeneralPeakBytes  int64  `json:"clock_general_peak_bytes,omitempty"`
 	// ShedRecords counts access records the server dropped under queue
 	// pressure before they reached its pipeline (load shedding; sync is
 	// never shed). Absent means the server has no shedding — old servers

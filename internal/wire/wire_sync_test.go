@@ -106,31 +106,3 @@ func TestEncoderSyncConventions(t *testing.T) {
 		t.Fatalf("replayed sync stream differs:\ngot  %+v\nwant %+v", got, want)
 	}
 }
-
-// TestHelloClockRoundTrip pins the clock-mode negotiation field.
-func TestHelloClockRoundTrip(t *testing.T) {
-	hello := Hello{Version: Version, Granularity: 2, Workers: 2, Window: 8, Clock: 1}
-	frame, err := AppendControlFrame(nil, Header{Type: TypeHello}, hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, payload, err := NewReader(bytes.NewReader(frame), 0).ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Hello
-	if err := UnmarshalControl(payload, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != hello {
-		t.Fatalf("hello clock round trip: got %+v want %+v", got, hello)
-	}
-	// Absent field must decode to 0 (general mode) for pre-clock clients.
-	var old Hello
-	if err := UnmarshalControl([]byte(`{"version":1,"granularity":2}`), &old); err != nil {
-		t.Fatal(err)
-	}
-	if old.Clock != 0 {
-		t.Fatalf("pre-clock hello decoded Clock=%d, want 0", old.Clock)
-	}
-}

@@ -71,7 +71,6 @@ func runCluster(p Program, opts Options) (Report, error) {
 			WriteGuidedReads: opts.WriteGuidedReads,
 			ReadReset:        opts.ReadReset,
 			ReshareInterval:  opts.ReshareInterval,
-			Clock:            uint8(opts.Clock),
 			Provenance:       opts.Provenance,
 		},
 	}

@@ -2,6 +2,7 @@ package race
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -66,6 +67,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"metrics-addr-with-sync", Options{
 			MetricsAddr: "127.0.0.1:0", Remote: "localhost:7474", RemoteSync: true,
 		}, "MetricsAddr"},
+		{"budget-nan", Options{Budget: math.NaN()}, "Budget"},
+		{"budget-nan-eraser", Options{Tool: Eraser, Budget: math.NaN()}, "Budget"},
+		{"trace-sample-nan", Options{TraceSample: math.NaN()}, "TraceSample"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -86,20 +86,6 @@ const (
 	Dynamic = detector.Dynamic
 )
 
-// Clock selects the FastTrack thread-clock representation.
-type Clock = detector.ClockMode
-
-// Clock modes, re-exported from the detector. ClockCompact enables the
-// structure-aware task-tree clock layer: threads whose synchronization
-// stays series–parallel (fork/join, channels, WaitGroups) carry compact
-// snapshot-chain clocks with O(1) structured joins, and a thread falls
-// back to a general vector clock on its first unstructured edge (mutex,
-// rwlock, barrier). The modes are verdict-identical.
-const (
-	ClockGeneral = detector.ClockGeneral
-	ClockCompact = detector.ClockCompact
-)
-
 // ChanID and WGID re-export the engine's channel and WaitGroup handles.
 type (
 	ChanID = event.ChanID
@@ -151,10 +137,6 @@ type Options struct {
 	Tool Tool
 	// Granularity applies to FastTrack (default Byte).
 	Granularity Granularity
-	// Clock selects FastTrack's thread-clock representation (default
-	// ClockGeneral; ClockCompact is verdict-identical and cheaper on
-	// structured fork/join/channel/WaitGroup synchronization).
-	Clock Clock
 	// Seed drives the deterministic scheduler (same seed → same report).
 	Seed int64
 	// Quantum is the scheduler quantum in events (0 = default).
@@ -318,12 +300,6 @@ func (o Options) Validate() error {
 	if o.Granularity > Dynamic {
 		return &OptionsError{"Granularity", fmt.Sprintf("unknown granularity %d", o.Granularity)}
 	}
-	if o.Clock > ClockCompact {
-		return &OptionsError{"Clock", fmt.Sprintf("unknown clock mode %d", o.Clock)}
-	}
-	if o.Clock != ClockGeneral && o.Tool != FastTrack {
-		return &OptionsError{"Clock", fmt.Sprintf("compact clocks apply to the fasttrack tool only, not %v", o.Tool)}
-	}
 	if o.Workers < 0 {
 		return &OptionsError{"Workers", fmt.Sprintf("negative worker count %d", o.Workers)}
 	}
@@ -381,7 +357,7 @@ func (o Options) Validate() error {
 	default:
 		return &OptionsError{"BatchPolicy", fmt.Sprintf("unknown batch policy %q (want fixed or adaptive)", o.BatchPolicy)}
 	}
-	if o.Budget < 0 || o.Budget > 1 {
+	if !(o.Budget >= 0 && o.Budget <= 1) { // negated so that NaN fails
 		return &OptionsError{"Budget", fmt.Sprintf("sampling budget %v outside (0,1] (0 disables)", o.Budget)}
 	}
 	if o.Budget > 0 && o.Tool != FastTrack {
@@ -393,7 +369,7 @@ func (o Options) Validate() error {
 	if o.Provenance && o.Tool != FastTrack {
 		return &OptionsError{"Provenance", fmt.Sprintf("race provenance applies to the fasttrack tool only, not %v", o.Tool)}
 	}
-	if o.TraceSample < 0 || o.TraceSample > 1 {
+	if !(o.TraceSample >= 0 && o.TraceSample <= 1) { // negated so that NaN fails
 		return &OptionsError{"TraceSample", fmt.Sprintf("sampling rate %v outside [0,1]", o.TraceSample)}
 	}
 	if o.StatsInterval < 0 {
@@ -464,17 +440,6 @@ type Stats struct {
 	NodeRecycles             uint64
 	VCPoolHits, VCPoolMisses uint64
 	VCInterns                uint64
-
-	// Structure-aware clock layer (Options.Clock == ClockCompact):
-	// threads still holding compact task-tree clocks at the end of the
-	// run, one-way demotions to the general representation, and the peak
-	// byte footprints of the two representations' thread-clock state.
-	ClockStructuredThreads uint64
-	ClockDemotions         uint64
-	ClockCompactBytes      int64
-	ClockCompactPeakBytes  int64
-	ClockGeneralBytes      int64
-	ClockGeneralPeakBytes  int64
 
 	// Sampling lane (Options.Budget): accesses the sampler forwarded to
 	// the detector vs dropped, and access records the remote server shed
@@ -610,13 +575,6 @@ func fillFastTrack(r *Report, st detector.Stats, races []detector.Race, provs []
 		VCPoolHits:         st.VCPoolHits,
 		VCPoolMisses:       st.VCPoolMisses,
 		VCInterns:          st.VCInterns,
-
-		ClockStructuredThreads: st.ClockStructuredThreads,
-		ClockDemotions:         st.ClockDemotions,
-		ClockCompactBytes:      st.ClockCompactBytes,
-		ClockCompactPeakBytes:  st.ClockCompactPeakBytes,
-		ClockGeneralBytes:      st.ClockGeneralBytes,
-		ClockGeneralPeakBytes:  st.ClockGeneralPeakBytes,
 	}
 	r.Suppressed = st.Suppressed
 	for _, x := range races {
@@ -687,7 +645,6 @@ func runRemote(p Program, opts Options) (Report, error) {
 			WriteGuidedReads: opts.WriteGuidedReads,
 			ReadReset:        opts.ReadReset,
 			ReshareInterval:  opts.ReshareInterval,
-			Clock:            uint8(opts.Clock),
 			Provenance:       opts.Provenance,
 		},
 	}
@@ -755,7 +712,6 @@ func runLocal(p Program, opts Options) Report {
 			WriteGuidedReads: opts.WriteGuidedReads,
 			ReshareInterval:  opts.ReshareInterval,
 			ReadReset:        opts.ReadReset,
-			Clock:            opts.Clock,
 			Provenance:       opts.Provenance,
 		}
 		ctrl := opts.samplingController()

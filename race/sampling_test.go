@@ -90,6 +90,29 @@ func TestSamplingBudgetStats(t *testing.T) {
 	}
 }
 
+// TestSampledFractionSharedRegistry runs two budgeted programs on one
+// registry: the sampling_* counters sum both runs, and the
+// detector_sampled_fraction gauge must be their ratio, not the first
+// run's rate.
+func TestSampledFractionSharedRegistry(t *testing.T) {
+	reg := telemetry.New()
+	for _, name := range []string{"canneal", "facesim"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Run(spec.Program(), Options{Granularity: Dynamic, Seed: 42, Budget: 0.05, Telemetry: reg})
+	}
+	fwd := float64(reg.CounterValue("sampling_forwarded_total"))
+	skip := float64(reg.CounterValue("sampling_skipped_total"))
+	if fwd == 0 || skip == 0 {
+		t.Fatalf("budgeted runs did not sample: forwarded=%v skipped=%v", fwd, skip)
+	}
+	if gauge, want := reg.GaugeValue("detector_sampled_fraction"), fwd/(fwd+skip); math.Abs(gauge-want) > 1e-9 {
+		t.Errorf("detector_sampled_fraction gauge %.6f, counters give %.6f", gauge, want)
+	}
+}
+
 // TestSamplingNeverInventsRacesEndToEnd drives the budgeted lane through
 // the remote topology (sampler → wire client → server pipeline) and
 // checks every reported race is in the exhaustive set: sampling may only

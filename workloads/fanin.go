@@ -8,11 +8,9 @@ import "repro/internal/sim"
 // thread, which aggregates per-worker totals. Properties the model
 // reproduces:
 //
-//   - channel-only synchronization (no mutex), so the structure-aware
-//     clock layer keeps every thread on the compact representation — and
-//     at this thread count the task-tree encoding's near-constant
-//     per-thread footprint beats the O(threads) general vectors that the
-//     hub's queued publications keep cloning;
+//   - channel-only synchronization (no mutex): every edge between a
+//     worker and the aggregator is a channel edge, and at this thread
+//     count each publication queued at the hub is an O(threads) clock;
 //   - a high same-epoch rate from the config table re-read every request
 //     within an epoch, with aggregation ordered purely by send→recv
 //     happens-before edges (a false positive here means a broken channel

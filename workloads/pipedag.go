@@ -9,11 +9,9 @@ import "repro/internal/sim"
 //
 //   - the full Go-native sync surface in one program: buffered per-lane
 //     handoff, unbuffered rendezvous (send/recv/ack), and a wide
-//     select-based merge, all on the structured clock fast path;
+//     select-based merge;
 //   - lane-local knowledge: each transformer only ever observes its own
-//     producer's chain, so spoke clocks stay near-constant-size while the
-//     merger alone pays for fan-in knowledge — the shape the task-tree
-//     encoding is built for;
+//     producer's lane, while the merger alone absorbs every lane's time;
 //   - two deliberate races far apart in the DAG: a "progress" word the
 //     first two producers update unprotected against each other, and a
 //     "tail" word transformer 0 writes that the merger reads without any

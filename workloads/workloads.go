@@ -3,8 +3,8 @@
 // eight PARSEC-2.1 benchmarks (facesim, ferret, fluidanimate, raytrace,
 // x264, canneal, dedup, streamcluster) plus FFmpeg, pbzip2 and hmmsearch,
 // and three Go-native synchronization families (fanin, workerpool,
-// pipedag) that exercise channels, select and WaitGroups — the sync
-// surface the structure-aware clock layer accelerates.
+// pipedag) that exercise channels, select and WaitGroups — the
+// synchronization Go programs use in place of locks.
 //
 // The originals cannot be run under a Go detector (no dynamic binary
 // instrumentation), so each workload is a synthetic model that reproduces
