@@ -36,7 +36,7 @@ func main() {
 		figure  = flag.Int("figure", 0, "render only this figure demo (1, 2 or 4)")
 		scale   = flag.Int("scale", 1, "workload scale factor")
 		seed    = flag.Int64("seed", 42, "scheduler seed")
-		runs    = flag.Int("runs", 3, "timing runs per configuration (median)")
+		runs    = flag.Int("runs", 3, "timing runs per configuration (the minimum is kept)")
 		bench   = flag.String("bench", "", "comma-separated benchmark subset")
 		memMB   = flag.Int64("comparator-mem-mb", 0, "comparator memory budget in MB (0 = default)")
 		timeout = flag.Duration("comparator-timeout", 30*time.Second, "comparator wall-time budget")

@@ -6,13 +6,14 @@
 //
 // # Streaming model
 //
-// Events are encoded into fixed-size batches on the caller's thread
-// (event.Encoder, sync.Pool-recycled) and framed with a per-session batch
-// sequence number. In the default asynchronous mode a background sender
-// goroutine writes frames while the producer keeps running; the producer
-// only blocks when the negotiated in-flight window is full (the server
-// acknowledges applied sequences, so a slow detection pipeline
-// back-pressures the producer instead of growing unbounded buffers).
+// Each event is encoded into the current batch's columns on the caller's
+// thread as it arrives (wire.ColumnEncoder); a full batch is framed with a
+// per-session batch sequence number. In the default asynchronous mode a
+// background sender goroutine writes frames while the producer keeps
+// running; the producer only blocks when the negotiated in-flight window
+// is full (the server acknowledges applied sequences, so a slow detection
+// pipeline back-pressures the producer instead of growing unbounded
+// buffers).
 // Options.Sync is the strict-ordering fallback: every batch is written on
 // the caller's thread and acknowledged before the next is encoded, which
 // pins the producer to the server's pace — useful for debugging and for
@@ -202,7 +203,7 @@ func newClientMetrics(r *telemetry.Registry) clientMetrics {
 		events:     r.Counter("client_events_total", "Event records streamed."),
 		reconnects: r.Counter("client_reconnects_total", "Successful re-dials after a connection drop."),
 		resends:    r.Counter("client_resends_total", "Frames replayed on session resume."),
-		encodeNS:   r.Histogram("client_encode_ns", "Per-batch frame encode latency."),
+		encodeNS:   r.Histogram("client_encode_ns", "Per-batch frame assembly latency (events are encoded as they arrive)."),
 		ackRTT:     r.Histogram("client_ack_rtt_ns", "Send-to-ack round trip per acknowledged frame."),
 		rawBytes:   r.Counter("wire_raw_bytes_total", "Batch bytes the stream would cost at fixed width (records x 37)."),
 		payload:    r.Counter("wire_payload_bytes_total", "Batch payload bytes encoded."),
@@ -224,7 +225,12 @@ func newClientMetrics(r *telemetry.Registry) clientMetrics {
 // be called once after the stream ends.
 type Client struct {
 	opts Options
-	enc  event.Encoder
+	// col encodes the current batch's events as they arrive; seq numbers
+	// them across the stream and target is the flush threshold in records.
+	// All three belong to the event thread.
+	col    wire.ColumnEncoder
+	seq    uint64
+	target int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -267,7 +273,7 @@ func Dial(opts Options) (*Client, error) {
 		c.opts.Window = 1
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.enc.Flush = c.flushBatch
+	c.setTarget(0)
 
 	c.mu.Lock()
 	err := c.connectLocked()
@@ -276,7 +282,7 @@ func Dial(opts Options) (*Client, error) {
 		return nil, err
 	}
 	if p := c.opts.BatchPolicy; p != nil {
-		c.enc.Target = p.Target()
+		c.setTarget(p.Target())
 	}
 	if !c.opts.Sync {
 		c.outbox = make(chan sentFrame, c.opts.Window)
@@ -550,14 +556,37 @@ func (c *Client) receive(conn net.Conn, gen int) {
 
 // ---- send path ----
 
-// flushBatch is the Encoder's Flush hook: it frames the batch into a
-// recycled buffer, recycles the batch, and hands the frame to the sender
-// (async) or sends it inline and waits for its ack (sync). It also
-// services the adaptive policy: outbox occupancy is observed at ship
-// time, and the encoder's next flush threshold is refreshed from the
-// policy target.
-func (c *Client) flushBatch(b *event.Batch) {
-	n := len(b.Recs)
+// setTarget sets the flush threshold from a batch policy target: clamped
+// to [1, event.DefaultBatchSize], with 0 meaning the fixed default.
+func (c *Client) setTarget(t int) {
+	if t <= 0 || t > event.DefaultBatchSize {
+		t = event.DefaultBatchSize
+	}
+	c.target = t
+}
+
+// push encodes one event's record into the current batch, numbering it,
+// and ships the batch once it reaches the flush threshold.
+func (c *Client) push(r event.Rec) {
+	c.seq++
+	r.Seq = c.seq
+	c.col.Append(r)
+	if c.col.Len() >= c.target {
+		c.flushBatch()
+	}
+}
+
+// flushBatch frames the current batch into a recycled buffer, empties the
+// encoder, and hands the frame to the sender (async) or sends it inline
+// and waits for its ack (sync). It also services the adaptive policy:
+// outbox occupancy is observed at ship time, and the next flush threshold
+// is refreshed from the policy target. The encode histogram times the
+// frame assembly only; the events were encoded as they arrived.
+func (c *Client) flushBatch() {
+	n := c.col.Len()
+	if n == 0 {
+		return
+	}
 	c.mu.Lock()
 	c.batchSeq++
 	seq := c.batchSeq
@@ -571,7 +600,7 @@ func (c *Client) flushBatch(b *event.Batch) {
 	}
 	c.mu.Unlock()
 	if fatal {
-		event.PutBatch(b)
+		c.col.Reset()
 		return // the stream is already lost; drop cheaply
 	}
 	// Deterministic per-batch sampling: the same batch sequence samples the
@@ -585,18 +614,18 @@ func (c *Client) flushBatch(b *event.Batch) {
 	if c.met.encodeNS != nil {
 		encStart = time.Now()
 	}
-	frame := wire.AppendBatchFrameTraced(buf, wire.Header{Session: session, Seq: seq}, b, trace, span)
+	frame := c.col.AppendFrame(buf, wire.Header{Session: session, Seq: seq}, trace, span)
 	if c.met.encodeNS != nil {
 		c.met.encodeNS.ObserveSince(encStart)
 	}
-	event.PutBatch(b)
+	c.col.Reset()
 	c.met.rawBytes.Add(uint64(n) * wire.RecSize)
 	c.met.payload.Add(uint64(len(frame) - wire.HeaderSize))
 	sf := sentFrame{seq: seq, data: frame, events: n, trace: trace, span: span}
 	if c.opts.Sync {
 		c.send(sf, true)
 		if p := c.opts.BatchPolicy; p != nil {
-			c.enc.Target = p.Target() // RTT observations arrived with the ack
+			c.setTarget(p.Target()) // RTT observations arrived with the ack
 		}
 		return
 	}
@@ -607,7 +636,7 @@ func (c *Client) flushBatch(b *event.Batch) {
 		// throughput). The receiver goroutine feeds ack RTTs concurrently;
 		// Target is read here, on the event thread, only.
 		p.ObserveQueue(len(c.outbox), cap(c.outbox))
-		c.enc.Target = p.Target()
+		c.setTarget(p.Target())
 	}
 	if o := c.opts.Backpressure; o != nil {
 		o.ObserveQueue(len(c.outbox), cap(c.outbox))
@@ -705,69 +734,69 @@ func (c *Client) send(sf sentFrame, waitAck bool) {
 
 // Read encodes a shared-memory read.
 func (c *Client) Read(tid vc.TID, addr uint64, size uint32, pc event.PC) {
-	c.enc.Read(tid, addr, size, pc)
+	c.push(event.ReadRec(tid, addr, size, pc))
 }
 
 // Write encodes a shared-memory write.
 func (c *Client) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
-	c.enc.Write(tid, addr, size, pc)
+	c.push(event.WriteRec(tid, addr, size, pc))
 }
 
 // Acquire encodes a lock acquisition.
-func (c *Client) Acquire(tid vc.TID, l event.LockID) { c.enc.Acquire(tid, l) }
+func (c *Client) Acquire(tid vc.TID, l event.LockID) { c.push(event.AcquireRec(tid, l)) }
 
 // Release encodes a lock release.
-func (c *Client) Release(tid vc.TID, l event.LockID) { c.enc.Release(tid, l) }
+func (c *Client) Release(tid vc.TID, l event.LockID) { c.push(event.ReleaseRec(tid, l)) }
 
 // AcquireShared encodes a rwlock read-lock.
-func (c *Client) AcquireShared(tid vc.TID, l event.LockID) { c.enc.AcquireShared(tid, l) }
+func (c *Client) AcquireShared(tid vc.TID, l event.LockID) { c.push(event.AcquireSharedRec(tid, l)) }
 
 // ReleaseShared encodes a rwlock read-unlock.
-func (c *Client) ReleaseShared(tid vc.TID, l event.LockID) { c.enc.ReleaseShared(tid, l) }
+func (c *Client) ReleaseShared(tid vc.TID, l event.LockID) { c.push(event.ReleaseSharedRec(tid, l)) }
 
 // Fork encodes thread creation.
-func (c *Client) Fork(parent, child vc.TID) { c.enc.Fork(parent, child) }
+func (c *Client) Fork(parent, child vc.TID) { c.push(event.ForkRec(parent, child)) }
 
 // Join encodes a thread join.
-func (c *Client) Join(parent, child vc.TID) { c.enc.Join(parent, child) }
+func (c *Client) Join(parent, child vc.TID) { c.push(event.JoinRec(parent, child)) }
 
 // BarrierArrive encodes a barrier arrival.
-func (c *Client) BarrierArrive(tid vc.TID, b event.BarrierID) { c.enc.BarrierArrive(tid, b) }
+func (c *Client) BarrierArrive(tid vc.TID, b event.BarrierID) { c.push(event.BarrierArriveRec(tid, b)) }
 
 // BarrierDepart encodes a barrier departure.
-func (c *Client) BarrierDepart(tid vc.TID, b event.BarrierID) { c.enc.BarrierDepart(tid, b) }
+func (c *Client) BarrierDepart(tid vc.TID, b event.BarrierID) { c.push(event.BarrierDepartRec(tid, b)) }
 
 // Malloc encodes a heap allocation.
-func (c *Client) Malloc(tid vc.TID, addr, size uint64) { c.enc.Malloc(tid, addr, size) }
+func (c *Client) Malloc(tid vc.TID, addr, size uint64) { c.push(event.MallocRec(tid, addr, size)) }
 
 // Free encodes a heap deallocation.
-func (c *Client) Free(tid vc.TID, addr, size uint64) { c.enc.Free(tid, addr, size) }
+func (c *Client) Free(tid vc.TID, addr, size uint64) { c.push(event.FreeRec(tid, addr, size)) }
 
 // ---- event.GoSink ----
 
 // ChanSend encodes a channel send.
 func (c *Client) ChanSend(tid vc.TID, ch event.ChanID, capacity int) {
-	c.enc.ChanSend(tid, ch, capacity)
+	c.push(event.ChanSendRec(tid, ch, capacity))
 }
 
 // ChanRecv encodes a channel receive.
 func (c *Client) ChanRecv(tid vc.TID, ch event.ChanID, capacity int) {
-	c.enc.ChanRecv(tid, ch, capacity)
+	c.push(event.ChanRecvRec(tid, ch, capacity))
 }
 
 // ChanAck encodes an unbuffered send completion.
 func (c *Client) ChanAck(tid vc.TID, ch event.ChanID, capacity int) {
-	c.enc.ChanAck(tid, ch, capacity)
+	c.push(event.ChanAckRec(tid, ch, capacity))
 }
 
 // WGAdd encodes a WaitGroup counter increment.
-func (c *Client) WGAdd(tid vc.TID, wg event.WGID, delta int) { c.enc.WGAdd(tid, wg, delta) }
+func (c *Client) WGAdd(tid vc.TID, wg event.WGID, delta int) { c.push(event.WGAddRec(tid, wg, delta)) }
 
 // WGDone encodes a WaitGroup decrement.
-func (c *Client) WGDone(tid vc.TID, wg event.WGID) { c.enc.WGDone(tid, wg) }
+func (c *Client) WGDone(tid vc.TID, wg event.WGID) { c.push(event.WGDoneRec(tid, wg)) }
 
 // WGWait encodes a WaitGroup wait completion.
-func (c *Client) WGWait(tid vc.TID, wg event.WGID) { c.enc.WGWait(tid, wg) }
+func (c *Client) WGWait(tid vc.TID, wg event.WGID) { c.push(event.WGWaitRec(tid, wg)) }
 
 // ---- drain ----
 
@@ -788,7 +817,7 @@ func (c *Client) LastAcked() uint64 {
 // step), not a shutdown. Must be called from the event thread, like the
 // Sink methods.
 func (c *Client) Flush() error {
-	c.enc.Close() // ship the partial batch; the encoder stays usable
+	c.flushBatch() // ship the partial batch; the encoder stays usable
 	c.mu.Lock()
 	target := c.batchSeq
 	c.mu.Unlock()
@@ -812,7 +841,7 @@ func (c *Client) Flush() error {
 // frame and waits for the server's race report. It returns the report or
 // the first fatal transport error.
 func (c *Client) Close() (*wire.Report, error) {
-	c.enc.Close() // flush the partial batch through flushBatch
+	c.flushBatch() // ship the partial batch
 	if !c.opts.Sync {
 		close(c.outbox)
 		<-c.sendDone

@@ -359,17 +359,13 @@ func TestPermanentRejectionIsImmediate(t *testing.T) {
 // TestFrameRecycleZeroAlloc pins the allocation-free send path: once the
 // window has cycled, shipping one more full batch encodes it into the
 // buffer of a frame an ack pruned, so it allocates nothing. It drives the
-// encoder's flush hook and the ack prune directly, playing the sender and
-// the server itself: the socket write and the sender and receiver
-// goroutines are left out so their runtime allocations cannot blur the
-// count.
+// Sink methods and the ack prune directly, playing the sender and the
+// server itself: the socket write and the sender and receiver goroutines
+// are left out so their runtime allocations cannot blur the count.
 func TestFrameRecycleZeroAlloc(t *testing.T) {
-	if raceDetectorOn {
-		t.Skip("pooled batches allocate under the race detector")
-	}
 	const window = 4
 	c := &Client{opts: Options{Window: window}.withDefaults(), outbox: make(chan sentFrame, 1)}
-	c.enc.Flush = c.flushBatch
+	c.setTarget(0)
 	ship := func() {
 		for i := 0; i < event.DefaultBatchSize; i++ {
 			c.Write(1, 0x1000+uint64(i%512)*8, 8, event.PC(i%7))
@@ -388,5 +384,82 @@ func TestFrameRecycleZeroAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(50, ship); got != 0 {
 		t.Fatalf("shipping a full batch after the window cycled: %v allocs/batch, want 0", got)
+	}
+}
+
+// TestFramesMatchBatchEncoding pins the client's encode-as-you-go path to
+// the protocol: a stream exercising every Sink and GoSink method, over
+// several full batches and a partial one, must produce frames
+// byte-identical to event.Encoder batches framed by wire.AppendBatchFrame.
+func TestFramesMatchBatchEncoding(t *testing.T) {
+	drive := func(s event.GoSink) {
+		for i := 0; i < 5000; i++ {
+			tid := vc.TID(i / 64 % 5)
+			addr := 0x10000 + uint64(i*i%4096)*8
+			switch i % 20 {
+			case 0:
+				s.Acquire(tid, event.LockID(i%3))
+			case 1:
+				s.Release(tid, event.LockID(i%3))
+			case 2:
+				s.AcquireShared(tid, event.LockID(7))
+			case 3:
+				s.ReleaseShared(tid, event.LockID(7))
+			case 4:
+				s.Fork(tid, tid+1)
+			case 5:
+				s.Join(tid, tid+1)
+			case 6:
+				s.BarrierArrive(tid, event.BarrierID(2))
+			case 7:
+				s.BarrierDepart(tid, event.BarrierID(2))
+			case 8:
+				s.Malloc(tid, addr, 256)
+			case 9:
+				s.Free(tid, addr, 256)
+			case 10:
+				s.ChanSend(tid, event.ChanID(i%4), i%3)
+			case 11:
+				s.ChanRecv(tid, event.ChanID(i%4), i%3)
+			case 12:
+				s.ChanAck(tid, event.ChanID(i%4), 0)
+			case 13:
+				s.WGAdd(tid, event.WGID(1), i%5-2)
+			case 14:
+				s.WGDone(tid, event.WGID(1))
+			case 15:
+				s.WGWait(tid, event.WGID(1))
+			case 16, 17:
+				s.Read(tid, addr, uint32(1<<(i%4)), event.PC(i%11))
+			default:
+				s.Write(tid, addr, 8, event.PC(i%13))
+			}
+		}
+	}
+
+	var want [][]byte
+	enc := &event.Encoder{Flush: func(b *event.Batch) {
+		want = append(want, wire.AppendBatchFrame(nil, wire.Header{Seq: uint64(len(want) + 1)}, b))
+		event.PutBatch(b)
+	}}
+	drive(enc)
+	enc.Close()
+
+	c := &Client{opts: Options{}.withDefaults(), outbox: make(chan sentFrame, len(want))}
+	c.setTarget(0)
+	drive(c)
+	c.flushBatch()
+	close(c.outbox)
+	var got [][]byte
+	for sf := range c.outbox {
+		got = append(got, sf.data)
+	}
+	if len(got) != len(want) || len(want) < 3 {
+		t.Fatalf("client shipped %d frames, the batch encoding %d (want at least 3)", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("frame %d differs from the batch encoding (%d vs %d bytes)", i+1, len(got[i]), len(want[i]))
+		}
 	}
 }

@@ -286,86 +286,86 @@ func (s *Sink) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 
 // Acquire broadcasts a lock acquisition to every clock replica.
 func (s *Sink) Acquire(tid vc.TID, l event.LockID) {
-	s.syncEvent(event.Rec{Op: event.OpAcquire, Tid: tid, Aux: uint64(l)})
+	s.syncEvent(event.AcquireRec(tid, l))
 }
 
 // Release broadcasts a lock release.
 func (s *Sink) Release(tid vc.TID, l event.LockID) {
-	s.syncEvent(event.Rec{Op: event.OpRelease, Tid: tid, Aux: uint64(l)})
+	s.syncEvent(event.ReleaseRec(tid, l))
 }
 
 // AcquireShared broadcasts a rwlock read-lock.
 func (s *Sink) AcquireShared(tid vc.TID, l event.LockID) {
-	s.syncEvent(event.Rec{Op: event.OpAcquireShared, Tid: tid, Aux: uint64(l)})
+	s.syncEvent(event.AcquireSharedRec(tid, l))
 }
 
 // ReleaseShared broadcasts a rwlock read-unlock.
 func (s *Sink) ReleaseShared(tid vc.TID, l event.LockID) {
-	s.syncEvent(event.Rec{Op: event.OpReleaseShared, Tid: tid, Aux: uint64(l)})
+	s.syncEvent(event.ReleaseSharedRec(tid, l))
 }
 
 // Fork broadcasts thread creation.
 func (s *Sink) Fork(parent, child vc.TID) {
-	s.syncEvent(event.Rec{Op: event.OpFork, Tid: parent, Aux: uint64(child)})
+	s.syncEvent(event.ForkRec(parent, child))
 }
 
 // Join broadcasts a thread join.
 func (s *Sink) Join(parent, child vc.TID) {
-	s.syncEvent(event.Rec{Op: event.OpJoin, Tid: parent, Aux: uint64(child)})
+	s.syncEvent(event.JoinRec(parent, child))
 }
 
 // BarrierArrive broadcasts a barrier arrival.
 func (s *Sink) BarrierArrive(tid vc.TID, b event.BarrierID) {
-	s.syncEvent(event.Rec{Op: event.OpBarrierArrive, Tid: tid, Aux: uint64(b)})
+	s.syncEvent(event.BarrierArriveRec(tid, b))
 }
 
 // BarrierDepart broadcasts a barrier departure.
 func (s *Sink) BarrierDepart(tid vc.TID, b event.BarrierID) {
-	s.syncEvent(event.Rec{Op: event.OpBarrierDepart, Tid: tid, Aux: uint64(b)})
+	s.syncEvent(event.BarrierDepartRec(tid, b))
 }
 
 // Malloc broadcasts heap allocation (kept in stream order on every
 // member, like the in-process pipeline).
 func (s *Sink) Malloc(tid vc.TID, addr, size uint64) {
-	s.syncEvent(event.Rec{Op: event.OpMalloc, Tid: tid, Addr: addr, Aux: size})
+	s.syncEvent(event.MallocRec(tid, addr, size))
 }
 
 // Free broadcasts deallocation; each member drops only its own blocks'
 // shadow state.
 func (s *Sink) Free(tid vc.TID, addr, size uint64) {
-	s.syncEvent(event.Rec{Op: event.OpFree, Tid: tid, Addr: addr, Aux: size})
+	s.syncEvent(event.FreeRec(tid, addr, size))
 }
 
 // ---- event.GoSink ----
 
 // ChanSend broadcasts a channel send.
 func (s *Sink) ChanSend(tid vc.TID, ch event.ChanID, capacity int) {
-	s.syncEvent(event.Rec{Op: event.OpChanSend, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(capacity)})
+	s.syncEvent(event.ChanSendRec(tid, ch, capacity))
 }
 
 // ChanRecv broadcasts a channel receive.
 func (s *Sink) ChanRecv(tid vc.TID, ch event.ChanID, capacity int) {
-	s.syncEvent(event.Rec{Op: event.OpChanRecv, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(capacity)})
+	s.syncEvent(event.ChanRecvRec(tid, ch, capacity))
 }
 
 // ChanAck broadcasts an unbuffered send completion.
 func (s *Sink) ChanAck(tid vc.TID, ch event.ChanID, capacity int) {
-	s.syncEvent(event.Rec{Op: event.OpChanAck, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(capacity)})
+	s.syncEvent(event.ChanAckRec(tid, ch, capacity))
 }
 
 // WGAdd broadcasts a WaitGroup counter increment.
 func (s *Sink) WGAdd(tid vc.TID, wg event.WGID, delta int) {
-	s.syncEvent(event.Rec{Op: event.OpWGAdd, Tid: tid, Aux: uint64(uint32(wg)), Size: uint32(delta)})
+	s.syncEvent(event.WGAddRec(tid, wg, delta))
 }
 
 // WGDone broadcasts a WaitGroup decrement.
 func (s *Sink) WGDone(tid vc.TID, wg event.WGID) {
-	s.syncEvent(event.Rec{Op: event.OpWGDone, Tid: tid, Aux: uint64(uint32(wg))})
+	s.syncEvent(event.WGDoneRec(tid, wg))
 }
 
 // WGWait broadcasts a WaitGroup wait completion.
 func (s *Sink) WGWait(tid vc.TID, wg event.WGID) {
-	s.syncEvent(event.Rec{Op: event.OpWGWait, Tid: tid, Aux: uint64(uint32(wg))})
+	s.syncEvent(event.WGWaitRec(tid, wg))
 }
 
 // ---- shutdown ----

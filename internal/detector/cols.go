@@ -24,9 +24,8 @@ func (d *Detector) RepeatAccess(n uint64) {
 		return
 	}
 	d.stats.Accesses += n
-	d.met.Accesses.Add(n)
 	d.stats.SameEpoch += n
-	d.met.SameEpoch.Add(n)
+	d.maybePublish()
 	if d.prov != nil {
 		d.prov.tickN(n)
 	}
@@ -69,7 +68,7 @@ func (d *Detector) ApplyCols(c *event.Cols) {
 			if event.NonShared(addr) {
 				// Repeats of a stack access repeat its accounting too.
 				d.stats.NonShared += k
-				d.met.NonShared.Add(k)
+				d.maybePublish()
 			} else {
 				if d.prov != nil && d.prov.extSeq {
 					d.prov.seq = c.Seqs[j-1]

@@ -27,6 +27,7 @@ package detector
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dyngran"
 	"repro/internal/epochbitmap"
@@ -105,10 +106,10 @@ type Config struct {
 	// default), the hot path pays one predictable branch per site.
 	Provenance bool
 
-	// Metrics is the telemetry instrument set the detector updates (see
-	// NewMetrics). Nil disables instrumentation at the cost of one
-	// predictable branch per site. Sharded detectors may share one Metrics:
-	// all instruments are atomic, and summed families stay consistent.
+	// Metrics is the telemetry instrument set the detector publishes its
+	// counts to (see NewMetrics and Detector.Publish). Nil disables
+	// publication. Sharded detectors may share one Metrics: all
+	// instruments are atomic, and summed families stay consistent.
 	Metrics *Metrics
 
 	// Shards and Shard make the detector shard-constructible for the
@@ -235,10 +236,15 @@ type Detector struct {
 	// write shadow nodes go racy.
 	racedLocs map[uint64]bool
 
-	// met is never nil (New installs the disabled set when Config.Metrics
-	// is nil), so increments need no guard beyond the instruments' own
-	// nil-receiver checks.
-	met *Metrics
+	// met receives the detector's counts (nil = telemetry disabled). pub
+	// is what has been added to it so far; the access path publishes once
+	// the memory accesses counted, shared or not, reach pubAt, which stays
+	// at its maximum while met is nil. reshares counts adaptive re-sharing
+	// decisions, the one published count without a Stats field.
+	met      *Metrics
+	pub      published
+	pubAt    uint64
+	reshares uint64
 
 	// vcs is the detector's size-classed vector-clock pool; every clock the
 	// detector creates (thread/lock/barrier clocks, read-vector inflations,
@@ -267,8 +273,9 @@ func New(cfg Config) *Detector {
 		nowTid:    vc.NoTID,
 	}
 	d.met = cfg.Metrics
-	if d.met == nil {
-		d.met = noopDetectorMetrics
+	d.pubAt = math.MaxUint64
+	if d.met != nil {
+		d.pubAt = publishEvery
 	}
 	if cfg.Provenance {
 		d.prov = &flightRecorder{}
@@ -280,8 +287,6 @@ func New(cfg Config) *Detector {
 	d.write = dyngran.NewPlane(dyngran.WritePlane, &d.stats.Plane)
 	d.read.SetPool(d.vcs)
 	d.write.SetPool(d.vcs)
-	d.read.SetMetrics(d.met.Read)
-	d.write.SetMetrics(d.met.Write)
 	sup := cfg.Suppress
 	if sup == nil {
 		sup = DefaultSuppress
@@ -296,8 +301,10 @@ func New(cfg Config) *Detector {
 func (d *Detector) Races() []Race { return d.races }
 
 // Stats returns a snapshot of the run statistics with the memory components
-// finalized.
+// finalized. It publishes first, so once it returns the telemetry counters
+// equal their Stats twins.
 func (d *Detector) Stats() Stats {
+	d.Publish()
 	s := d.stats
 	s.HashPeakBytes = d.read.Tab.PeakBytes() + d.write.Tab.PeakBytes()
 	s.VCPeakBytes = s.Plane.VCBytesPeak + d.th.LockClockBytes()
@@ -359,7 +366,6 @@ func (d *Detector) trackTotal() {
 func (d *Detector) report(kind fasttrack.RaceKind, lo, hi uint64, tid vc.TID, pc event.PC, prevTid vc.TID, prevPC event.PC) {
 	if d.suppress[pc.Module()] || d.suppress[prevPC.Module()] {
 		d.stats.Suppressed++
-		d.met.Suppressed.Inc()
 		return
 	}
 	if d.racedLocs[lo] {
@@ -367,7 +373,6 @@ func (d *Detector) report(kind fasttrack.RaceKind, lo, hi uint64, tid vc.TID, pc
 	}
 	d.racedLocs[lo] = true
 	d.stats.Races++
-	d.met.Races.Inc()
 	r := Race{
 		Kind: kind, Addr: lo, Size: uint32(hi - lo),
 		Tid: tid, PC: pc, PrevTid: prevTid, PrevPC: prevPC,
@@ -403,11 +408,11 @@ func (d *Detector) checkReadPlane(lo, hi uint64, tc *vc.VC) (vc.TID, event.PC, b
 func (d *Detector) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 	if event.NonShared(addr) {
 		d.stats.NonShared++
-		d.met.NonShared.Inc()
+		d.maybePublish()
 		return
 	}
 	d.stats.Accesses++
-	d.met.Accesses.Inc()
+	d.maybePublish()
 	if d.prov != nil {
 		d.prov.tick()
 	}
@@ -415,7 +420,6 @@ func (d *Detector) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 	bm := d.bitmap(tid)
 	if bm.Write(lo, hi) {
 		d.stats.SameEpoch++
-		d.met.SameEpoch.Inc()
 		return
 	}
 	if d.prov != nil {
@@ -440,7 +444,6 @@ func (d *Detector) writeSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc *
 	if n == nil {
 		// First access of the location.
 		d.stats.Plane.LocCreations++
-		d.met.LocCreations.Inc()
 		rTid, rPC, raced := d.checkReadPlane(lo, hi, tc)
 		if !raced && d.firstEpochSharing() {
 			if ext, ok := p.TryExtendLeft(lo, hi, e, nil); ok {
@@ -454,7 +457,7 @@ func (d *Detector) writeSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc *
 		if raced {
 			n.SetState(dyngran.Race)
 			n.Reported = true
-			p.Met.ToRace.Inc()
+			p.Tally.ToRace++
 			d.report(fasttrack.ReadWrite, lo, hi, tid, pc, rTid, rPC)
 			return
 		}
@@ -476,7 +479,6 @@ func (d *Detector) writeSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc *
 		n.PC = pc
 		n = p.DecideSecondEpoch(n)
 		d.stats.SharingComparisons += 2
-		d.met.SharingComparisons.Add(2)
 
 	case dyngran.Shared:
 		if d.raceOnWrite(n, lo, hi, tid, tc, pc) {
@@ -520,8 +522,7 @@ func (d *Detector) maybeReshare(p *dyngran.Plane, n *dyngran.Node, bm *epochbitm
 	}
 	n.Settled = 0
 	d.stats.SharingComparisons += 2
-	d.met.SharingComparisons.Add(2)
-	d.met.Reshares.Inc()
+	d.reshares++
 	n = p.DecideSecondEpoch(n)
 	d.markShared(p, n, bm)
 }
@@ -557,11 +558,11 @@ func (d *Detector) raceOnWrite(n *dyngran.Node, lo, hi uint64, tid vc.TID, tc *v
 func (d *Detector) Read(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 	if event.NonShared(addr) {
 		d.stats.NonShared++
-		d.met.NonShared.Inc()
+		d.maybePublish()
 		return
 	}
 	d.stats.Accesses++
-	d.met.Accesses.Inc()
+	d.maybePublish()
 	if d.prov != nil {
 		d.prov.tick()
 	}
@@ -569,7 +570,6 @@ func (d *Detector) Read(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 	bm := d.bitmap(tid)
 	if bm.Read(lo, hi) {
 		d.stats.SameEpoch++
-		d.met.SameEpoch.Inc()
 		return
 	}
 	if d.prov != nil {
@@ -590,7 +590,6 @@ func (d *Detector) readSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc *v
 	p := d.read
 	if n == nil {
 		d.stats.Plane.LocCreations++
-		d.met.LocCreations.Inc()
 		wTid, wPC, raced := d.checkWritePlane(lo, hi, tc)
 		if !raced && d.firstEpochSharing() {
 			fresh := fasttrack.Read{E: e}
@@ -605,7 +604,7 @@ func (d *Detector) readSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc *v
 		if raced {
 			n.SetState(dyngran.Race)
 			n.Reported = true
-			p.Met.ToRace.Inc()
+			p.Tally.ToRace++
 			d.report(fasttrack.WriteRead, lo, hi, tid, pc, wTid, wPC)
 			return
 		}
@@ -631,7 +630,7 @@ func (d *Detector) readSegment(lo, hi uint64, n *dyngran.Node, tid vc.TID, tc *v
 		} else {
 			n.SetState(dyngran.Private)
 			n.InitShared = false
-			p.Met.ToPrivate.Inc()
+			p.Tally.ToPrivate++
 		}
 
 	case dyngran.Shared:
@@ -731,13 +730,12 @@ func (d *Detector) firstEpochSharing() bool {
 func (d *Detector) decideFirstAccess(p *dyngran.Plane, n *dyngran.Node) {
 	if d.cfg.Granularity != Dynamic {
 		n.SetState(dyngran.Private)
-		p.Met.ToPrivate.Inc()
+		p.Tally.ToPrivate++
 		return
 	}
 	if d.cfg.NoInitState {
 		// Table 5 ablation: one final decision, made now.
 		d.stats.SharingComparisons += 2
-		d.met.SharingComparisons.Add(2)
 		p.DecideSecondEpoch(n)
 		return
 	}
@@ -746,7 +744,6 @@ func (d *Detector) decideFirstAccess(p *dyngran.Plane, n *dyngran.Node) {
 		return
 	}
 	d.stats.SharingComparisons += 2
-	d.met.SharingComparisons.Add(2)
 	p.TryFirstEpochShare(n)
 }
 
@@ -760,13 +757,12 @@ func (d *Detector) decideReadSharing(p *dyngran.Plane, n *dyngran.Node) *dyngran
 		if w := d.write.Tab.Get(n.Lo); w != nil && w.State == dyngran.Private {
 			n.SetState(dyngran.Private)
 			n.InitShared = false
-			p.Met.ToPrivate.Inc()
-			p.Met.ShareRejected.Inc()
+			p.Tally.ToPrivate++
+			p.Tally.ShareRejected++
 			return n
 		}
 	}
 	d.stats.SharingComparisons += 2
-	d.met.SharingComparisons.Add(2)
 	return p.DecideSecondEpoch(n)
 }
 

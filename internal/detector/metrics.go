@@ -1,9 +1,14 @@
-// Telemetry instruments for the detector front end. Counters are bumped at
-// exactly the sites that bump the corresponding Stats fields, so summed
-// telemetry reconciles against Detector.Stats() — pinned by
-// race.TestTelemetryReconciliation. All instruments are nil-safe: a nil
-// registry yields a valid Metrics whose increments are no-ops, so the hot
-// path carries one predictable branch per site when telemetry is disabled.
+// Telemetry for the detector front end. The access path counts only into
+// plain per-detector state — the Stats fields each counter mirrors, the
+// reshare decisions, and the shadow planes' tallies (dyngran.Tally) — and
+// Publish adds what accumulated since its last call to the registry's
+// shared counters. The access path publishes every publishEvery memory
+// accesses (shared or stack), a pipeline worker after every batch it
+// applies, and Stats before it returns; so the per-access path performs
+// no atomic read-modify-write, a live counter trails its Stats twin by at
+// most one publication interval, and once Stats has returned (or a
+// pipeline's Wait, which calls it) every counter equals its twin exactly
+// — pinned by race.TestTelemetryReconciliation.
 package detector
 
 import (
@@ -11,8 +16,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Metrics is the detector instrument set. Construct with NewMetrics; the
-// disabled set (from a nil registry) is valid and free.
+// publishEvery is the number of memory accesses, shared or stack, between
+// two publications from the access path.
+const publishEvery = 1024
+
+// maybePublish publishes once the memory accesses counted reach pubAt.
+func (d *Detector) maybePublish() {
+	if d.stats.Accesses+d.stats.NonShared >= d.pubAt {
+		d.Publish()
+	}
+}
+
+// Metrics is the detector instrument set. Construct with NewMetrics.
 type Metrics struct {
 	// Front-end event accounting (mirrors Stats.Accesses / SameEpoch /
 	// NonShared).
@@ -38,7 +53,7 @@ type Metrics struct {
 }
 
 // NewMetrics registers the detector metric families on r. A nil registry
-// yields a valid, disabled Metrics (including disabled plane sets).
+// yields a valid Metrics whose counters are all nil.
 func NewMetrics(r *telemetry.Registry) *Metrics {
 	return &Metrics{
 		Accesses:           r.Counter("detector_accesses_total", "Memory-access events processed (post stack filter)."),
@@ -54,6 +69,40 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// noopDetectorMetrics is the shared disabled set installed when Config.Metrics
-// is nil, so detector code increments unconditionally.
-var noopDetectorMetrics = NewMetrics(nil)
+// published is the part of a detector's counts already added to its
+// Metrics.
+type published struct {
+	accesses, sameEpoch, nonShared   uint64
+	sharingComparisons, locCreations uint64
+	races, suppressed, reshares      uint64
+}
+
+// Publish adds the detector's counts since its last publication to the
+// registry counters. It does nothing when the detector has no Metrics.
+// Like every detector method it must be called from the goroutine that
+// owns the detector.
+func (d *Detector) Publish() {
+	m := d.met
+	if m == nil {
+		return
+	}
+	s := &d.stats
+	now := published{
+		accesses: s.Accesses, sameEpoch: s.SameEpoch, nonShared: s.NonShared,
+		sharingComparisons: s.SharingComparisons, locCreations: s.Plane.LocCreations,
+		races: s.Races, suppressed: s.Suppressed, reshares: d.reshares,
+	}
+	was := &d.pub
+	m.Accesses.Add(now.accesses - was.accesses)
+	m.SameEpoch.Add(now.sameEpoch - was.sameEpoch)
+	m.NonShared.Add(now.nonShared - was.nonShared)
+	m.SharingComparisons.Add(now.sharingComparisons - was.sharingComparisons)
+	m.LocCreations.Add(now.locCreations - was.locCreations)
+	m.Races.Add(now.races - was.races)
+	m.Suppressed.Add(now.suppressed - was.suppressed)
+	m.Reshares.Add(now.reshares - was.reshares)
+	d.pub = now
+	m.Read.Publish(&d.read.Tally)
+	m.Write.Publish(&d.write.Tally)
+	d.pubAt = s.Accesses + s.NonShared + publishEvery
+}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestNonSharedFilter: accesses in the stack region are dropped before any
@@ -26,6 +27,36 @@ func TestNonSharedFilter(t *testing.T) {
 	}
 	if len(d.Races()) != 0 {
 		t.Errorf("stack accesses raced: %v", d.Races())
+	}
+}
+
+// TestStackAccessesPublish: stack accesses count toward the publication
+// interval like shared ones, so a stretch of them cannot leave
+// detector_nonshared_total behind its Stats twin until the run ends —
+// neither on the Sink path nor through a collapsed run of repeats.
+func TestStackAccessesPublish(t *testing.T) {
+	m := NewMetrics(telemetry.New())
+	d := New(Config{Granularity: Dynamic, Metrics: m})
+	stack := event.StackBase + 0x100
+	for i := 0; i < publishEvery-1; i++ {
+		d.Write(0, stack, 8, 1)
+	}
+	if got := m.NonShared.Load(); got != 0 {
+		t.Fatalf("published %d before the interval was reached", got)
+	}
+	d.Read(0, stack, 8, 1)
+	if got := m.NonShared.Load(); got != publishEvery {
+		t.Fatalf("after %d stack accesses the counter reads %d", publishEvery, got)
+	}
+
+	c := &event.Cols{}
+	for i := 0; i < 2*publishEvery; i++ {
+		c.Append(event.ReadRec(0, stack, 8, 1))
+	}
+	d.ApplyCols(c)
+	if got := m.NonShared.Load(); got != 3*publishEvery {
+		t.Fatalf("after a collapsed run of %d stack reads the counter reads %d, want %d",
+			2*publishEvery, got, 3*publishEvery)
 	}
 }
 

@@ -194,9 +194,9 @@ type Plane struct {
 	Kind Kind
 	Tab  *shadow.Table[*Node]
 	St   *Stats
-	// Met is the plane's telemetry instrument set; never nil (NewPlane
-	// installs the disabled set). Replace via SetMetrics to enable.
-	Met *Metrics
+	// Tally counts the plane's telemetry facts until the owning detector
+	// publishes them (see Metrics.Publish).
+	Tally Tally
 
 	// pool serves vector-clock storage for cloned read vectors (may be
 	// nil: plain heap allocation).
@@ -216,7 +216,7 @@ const arenaChunk = 128
 
 // NewPlane returns an empty plane of the given kind sharing stats st.
 func NewPlane(kind Kind, st *Stats) *Plane {
-	return &Plane{Kind: kind, Tab: shadow.New[*Node](), St: st, Met: noopMetrics}
+	return &Plane{Kind: kind, Tab: shadow.New[*Node](), St: st}
 }
 
 // SetPool binds the plane's vector-clock storage (cloned read vectors) to
@@ -232,7 +232,7 @@ func (p *Plane) alloc() *Node {
 		p.free[k-1] = nil
 		p.free = p.free[:k-1]
 		p.St.NodeRecycles++
-		p.Met.NodeRecycles.Inc()
+		p.Tally.NodeRecycles++
 		return n
 	}
 	if len(p.arena) == 0 {
@@ -241,15 +241,6 @@ func (p *Plane) alloc() *Node {
 	n := &p.arena[0]
 	p.arena = p.arena[1:]
 	return n
-}
-
-// SetMetrics installs the plane's telemetry instruments (nil restores the
-// disabled set).
-func (p *Plane) SetMetrics(m *Metrics) {
-	if m == nil {
-		m = noopMetrics
-	}
-	p.Met = m
 }
 
 // SameHistory reports whether two nodes carry the same vector clock in this
@@ -268,11 +259,11 @@ func (p *Plane) account(n *Node, sign int64) {
 	p.St.NodesCur += sign
 	p.St.LiveLocs += sign * int64(n.Locs)
 	if sign < 0 {
-		p.Met.NodeReleases.Inc()
+		p.Tally.NodeReleases++
 	}
 	if sign > 0 {
 		p.St.NodeAllocs++
-		p.Met.NodeAllocs.Inc()
+		p.Tally.NodeAllocs++
 		if p.St.NodesCur > p.St.NodesPeak {
 			p.St.NodesPeak = p.St.NodesCur
 		}
@@ -299,7 +290,7 @@ func (p *Plane) NewNode(lo, hi uint64, state State) *Node {
 	n.Lo, n.Hi, n.Locs = lo, hi, 1
 	n.SetState(state)
 	if state == Init {
-		p.Met.ToInit.Inc()
+		p.Tally.ToInit++
 	}
 	p.account(n, +1)
 	p.Tab.SetRange(lo, hi, n)
@@ -355,7 +346,7 @@ func (p *Plane) owns(n *Node, lo, hi uint64) bool {
 // state. Split reuses n for one of the resulting pieces to limit churn.
 func (p *Plane) Split(n *Node, lo, hi uint64) *Node {
 	p.St.Splits++
-	p.Met.Splits.Inc()
+	p.Tally.Splits++
 	if n.Lo == lo && n.Hi == hi {
 		return n // nothing to carve
 	}
@@ -412,7 +403,7 @@ func (p *Plane) Merge(dst, src *Node) *Node {
 		return dst
 	}
 	p.St.Merges++
-	p.Met.Merges.Inc()
+	p.Tally.Merges++
 	p.Tab.ReplaceRange(src.Lo, src.Hi, src, dst)
 	if src.Lo < dst.Lo {
 		dst.Lo = src.Lo
@@ -500,8 +491,8 @@ func (p *Plane) TryExtendLeft(lo, hi uint64, w vc.Epoch, r *fasttrack.Read) (*No
 	left.InitShared = true
 	p.St.locsDelta(1)
 	p.St.Merges++
-	p.Met.Merges.Inc()
-	p.Met.FirstShareTaken.Inc()
+	p.Tally.Merges++
+	p.Tally.FirstShareTaken++
 	return left, true
 }
 
@@ -524,9 +515,9 @@ func (p *Plane) TryFirstEpochShare(n *Node) *Node {
 	}
 	merged.InitShared = merged.Locs > 1
 	if shared {
-		p.Met.FirstShareTaken.Inc()
+		p.Tally.FirstShareTaken++
 	} else {
-		p.Met.FirstShareRejected.Inc()
+		p.Tally.FirstShareRejected++
 	}
 	return merged
 }
@@ -551,12 +542,12 @@ func (p *Plane) DecideSecondEpoch(n *Node) *Node {
 	}
 	if shared {
 		merged.SetState(Shared)
-		p.Met.ShareTaken.Inc()
-		p.Met.ToShared.Inc()
+		p.Tally.ShareTaken++
+		p.Tally.ToShared++
 	} else {
 		merged.SetState(Private)
-		p.Met.ShareRejected.Inc()
-		p.Met.ToPrivate.Inc()
+		p.Tally.ShareRejected++
+		p.Tally.ToPrivate++
 	}
 	merged.InitShared = false
 	return merged
@@ -572,7 +563,7 @@ func (p *Plane) SetRace(n *Node, lo, hi uint64) *Node {
 	mid.SetState(Race)
 	mid.InitShared = false
 	mid.Reported = true
-	p.Met.ToRace.Inc()
+	p.Tally.ToRace++
 	if wasShared {
 		// Mark the split-off remainders Race as well.
 		p.markRaceAround(lo, hi, mid)
@@ -586,7 +577,7 @@ func (p *Plane) markRaceAround(lo, hi uint64, mid *Node) {
 	if lo > 0 {
 		if left := p.Tab.Get(lo - 1); left != nil && left != mid {
 			if left.State != Race {
-				p.Met.ToRace.Inc()
+				p.Tally.ToRace++
 				left.SetState(Race)
 			}
 			left.InitShared = false
@@ -594,7 +585,7 @@ func (p *Plane) markRaceAround(lo, hi uint64, mid *Node) {
 	}
 	if right := p.Tab.Get(hi); right != nil && right != mid {
 		if right.State != Race {
-			p.Met.ToRace.Inc()
+			p.Tally.ToRace++
 			right.SetState(Race)
 		}
 		right.InitShared = false

@@ -1,48 +1,48 @@
-// Telemetry instruments for one shadow plane. Every counter is bumped at
-// exactly the site that bumps the corresponding Stats field (where one
-// exists), so a run's telemetry reconciles 1:1 against Plane.St — pinned
-// by race.TestTelemetryReconciliation. A zero Metrics (all-nil counters)
-// is the disabled instrument set: every increment is a nil-receiver no-op,
-// keeping the uninstrumented hot path at one predictable branch per site.
+// Telemetry for one shadow plane. The plane counts into a plain Tally at
+// exactly the sites that bump the corresponding Stats fields (where one
+// exists); the owning detector adds the tally to the registry's counters
+// in batches (Metrics.Publish), so the shadow hot path performs no atomic
+// operation and a run's counters still reconcile 1:1 against Plane.St once
+// the detector has published — pinned by race.TestTelemetryReconciliation.
 package dyngran
 
 import "repro/internal/telemetry"
 
-// Metrics is the per-plane telemetry instrument set. Construct with
-// NewMetrics; the zero value is valid and disabled.
-type Metrics struct {
+// Tally is one plane's count of telemetry facts not yet published. Plane
+// code increments it; Metrics.Publish adds it to the registry and zeroes
+// it.
+type Tally struct {
 	// Node churn (mirrors Stats.NodeAllocs plus the release side the
 	// tables never needed). NodeRecycles mirrors Stats.NodeRecycles: the
 	// subset of allocations the plane freelist served without touching the
 	// Go heap.
-	NodeAllocs   *telemetry.Counter
-	NodeReleases *telemetry.Counter
-	NodeRecycles *telemetry.Counter
+	NodeAllocs, NodeReleases, NodeRecycles uint64
 	// Merges and Splits mirror Stats.Merges / Stats.Splits.
-	Merges *telemetry.Counter
-	Splits *telemetry.Counter
+	Merges, Splits uint64
 
 	// Figure 2 state-machine transitions: entering Init (node creation),
 	// Shared, Private, and Race.
-	ToInit    *telemetry.Counter
-	ToShared  *telemetry.Counter
-	ToPrivate *telemetry.Counter
-	ToRace    *telemetry.Counter
+	ToInit, ToShared, ToPrivate, ToRace uint64
 
 	// Sharing decisions: first-epoch (Init-state, including the
 	// extend-left fast path) and second-epoch (final), split by verdict.
-	FirstShareTaken    *telemetry.Counter
-	FirstShareRejected *telemetry.Counter
-	ShareTaken         *telemetry.Counter
-	ShareRejected      *telemetry.Counter
+	FirstShareTaken, FirstShareRejected uint64
+	ShareTaken, ShareRejected           uint64
 }
 
-// noopMetrics is the shared disabled instrument set installed by NewPlane,
-// so plane code can increment unconditionally.
-var noopMetrics = &Metrics{}
+// Metrics is the per-plane telemetry instrument set, one counter per Tally
+// field. Construct with NewMetrics.
+type Metrics struct {
+	NodeAllocs, NodeReleases, NodeRecycles *telemetry.Counter
+	Merges, Splits                         *telemetry.Counter
+	ToInit, ToShared, ToPrivate, ToRace    *telemetry.Counter
+	FirstShareTaken, FirstShareRejected    *telemetry.Counter
+	ShareTaken, ShareRejected              *telemetry.Counter
+}
 
 // NewMetrics registers the plane instrument family on r with a plane label
-// ("read" or "write"). A nil registry yields a valid, disabled Metrics.
+// ("read" or "write"). A nil registry yields a valid Metrics whose
+// counters are all nil.
 func NewMetrics(r *telemetry.Registry, kind Kind) *Metrics {
 	plane := "read"
 	if kind == WritePlane {
@@ -83,4 +83,24 @@ func NewMetrics(r *telemetry.Registry, kind Kind) *Metrics {
 			l, telemetry.Labels{"epoch": t.epoch, "verdict": t.verdict})
 	}
 	return m
+}
+
+// Publish adds t to the counters and zeroes it. The caller owns t (the
+// plane's detector); the counters are atomic, so planes of several
+// detectors may publish into one Metrics concurrently.
+func (m *Metrics) Publish(t *Tally) {
+	m.NodeAllocs.Add(t.NodeAllocs)
+	m.NodeReleases.Add(t.NodeReleases)
+	m.NodeRecycles.Add(t.NodeRecycles)
+	m.Merges.Add(t.Merges)
+	m.Splits.Add(t.Splits)
+	m.ToInit.Add(t.ToInit)
+	m.ToShared.Add(t.ToShared)
+	m.ToPrivate.Add(t.ToPrivate)
+	m.ToRace.Add(t.ToRace)
+	m.FirstShareTaken.Add(t.FirstShareTaken)
+	m.FirstShareRejected.Add(t.FirstShareRejected)
+	m.ShareTaken.Add(t.ShareTaken)
+	m.ShareRejected.Add(t.ShareRejected)
+	*t = Tally{}
 }

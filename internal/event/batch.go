@@ -104,6 +104,55 @@ type Rec struct {
 	Op   Op
 }
 
+// Record constructors, one per Sink and GoSink method: the one place an
+// event's arguments map onto Rec fields (the table above; ApplyRec is the
+// inverse). Every Sink that turns calls into records builds them here —
+// the Encoder below, the remote client, the pipeline and the cluster sink
+// — and stamps Seq itself where it numbers events.
+
+func ReadRec(tid vc.TID, addr uint64, size uint32, pc PC) Rec {
+	return Rec{Op: OpRead, Tid: tid, Addr: addr, Size: size, PC: pc}
+}
+func WriteRec(tid vc.TID, addr uint64, size uint32, pc PC) Rec {
+	return Rec{Op: OpWrite, Tid: tid, Addr: addr, Size: size, PC: pc}
+}
+func AcquireRec(tid vc.TID, l LockID) Rec { return Rec{Op: OpAcquire, Tid: tid, Aux: uint64(l)} }
+func ReleaseRec(tid vc.TID, l LockID) Rec { return Rec{Op: OpRelease, Tid: tid, Aux: uint64(l)} }
+func AcquireSharedRec(tid vc.TID, l LockID) Rec {
+	return Rec{Op: OpAcquireShared, Tid: tid, Aux: uint64(l)}
+}
+func ReleaseSharedRec(tid vc.TID, l LockID) Rec {
+	return Rec{Op: OpReleaseShared, Tid: tid, Aux: uint64(l)}
+}
+func ForkRec(parent, child vc.TID) Rec { return Rec{Op: OpFork, Tid: parent, Aux: uint64(child)} }
+func JoinRec(parent, child vc.TID) Rec { return Rec{Op: OpJoin, Tid: parent, Aux: uint64(child)} }
+func BarrierArriveRec(tid vc.TID, b BarrierID) Rec {
+	return Rec{Op: OpBarrierArrive, Tid: tid, Aux: uint64(b)}
+}
+func BarrierDepartRec(tid vc.TID, b BarrierID) Rec {
+	return Rec{Op: OpBarrierDepart, Tid: tid, Aux: uint64(b)}
+}
+func MallocRec(tid vc.TID, addr, size uint64) Rec {
+	return Rec{Op: OpMalloc, Tid: tid, Addr: addr, Aux: size}
+}
+func FreeRec(tid vc.TID, addr, size uint64) Rec {
+	return Rec{Op: OpFree, Tid: tid, Addr: addr, Aux: size}
+}
+func ChanSendRec(tid vc.TID, ch ChanID, cap int) Rec {
+	return Rec{Op: OpChanSend, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(cap)}
+}
+func ChanRecvRec(tid vc.TID, ch ChanID, cap int) Rec {
+	return Rec{Op: OpChanRecv, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(cap)}
+}
+func ChanAckRec(tid vc.TID, ch ChanID, cap int) Rec {
+	return Rec{Op: OpChanAck, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(cap)}
+}
+func WGAddRec(tid vc.TID, wg WGID, delta int) Rec {
+	return Rec{Op: OpWGAdd, Tid: tid, Aux: uint64(uint32(wg)), Size: uint32(delta)}
+}
+func WGDoneRec(tid vc.TID, wg WGID) Rec { return Rec{Op: OpWGDone, Tid: tid, Aux: uint64(uint32(wg))} }
+func WGWaitRec(tid vc.TID, wg WGID) Rec { return Rec{Op: OpWGWait, Tid: tid, Aux: uint64(uint32(wg))} }
+
 // DefaultBatchSize is the number of records one Batch holds before the
 // encoder ships it. 2048 records ≈ 80 KiB: large enough to amortize channel
 // transfer to well under a nanosecond per event, small enough to keep
@@ -259,38 +308,22 @@ func (e *Encoder) Seq() uint64 { return e.seq }
 // Sink implementation: every event becomes one record.
 
 func (e *Encoder) Read(tid vc.TID, addr uint64, size uint32, pc PC) {
-	e.push(Rec{Op: OpRead, Tid: tid, Addr: addr, Size: size, PC: pc})
+	e.push(ReadRec(tid, addr, size, pc))
 }
 func (e *Encoder) Write(tid vc.TID, addr uint64, size uint32, pc PC) {
-	e.push(Rec{Op: OpWrite, Tid: tid, Addr: addr, Size: size, PC: pc})
+	e.push(WriteRec(tid, addr, size, pc))
 }
-func (e *Encoder) Acquire(tid vc.TID, l LockID) {
-	e.push(Rec{Op: OpAcquire, Tid: tid, Aux: uint64(l)})
-}
-func (e *Encoder) Release(tid vc.TID, l LockID) {
-	e.push(Rec{Op: OpRelease, Tid: tid, Aux: uint64(l)})
-}
-func (e *Encoder) AcquireShared(tid vc.TID, l LockID) {
-	e.push(Rec{Op: OpAcquireShared, Tid: tid, Aux: uint64(l)})
-}
-func (e *Encoder) ReleaseShared(tid vc.TID, l LockID) {
-	e.push(Rec{Op: OpReleaseShared, Tid: tid, Aux: uint64(l)})
-}
-func (e *Encoder) Fork(parent, child vc.TID) {
-	e.push(Rec{Op: OpFork, Tid: parent, Aux: uint64(child)})
-}
-func (e *Encoder) Join(parent, child vc.TID) {
-	e.push(Rec{Op: OpJoin, Tid: parent, Aux: uint64(child)})
-}
+func (e *Encoder) Acquire(tid vc.TID, l LockID)       { e.push(AcquireRec(tid, l)) }
+func (e *Encoder) Release(tid vc.TID, l LockID)       { e.push(ReleaseRec(tid, l)) }
+func (e *Encoder) AcquireShared(tid vc.TID, l LockID) { e.push(AcquireSharedRec(tid, l)) }
+func (e *Encoder) ReleaseShared(tid vc.TID, l LockID) { e.push(ReleaseSharedRec(tid, l)) }
+func (e *Encoder) Fork(parent, child vc.TID)          { e.push(ForkRec(parent, child)) }
+func (e *Encoder) Join(parent, child vc.TID)          { e.push(JoinRec(parent, child)) }
 func (e *Encoder) BarrierArrive(tid vc.TID, b BarrierID) {
-	e.push(Rec{Op: OpBarrierArrive, Tid: tid, Aux: uint64(b)})
+	e.push(BarrierArriveRec(tid, b))
 }
 func (e *Encoder) BarrierDepart(tid vc.TID, b BarrierID) {
-	e.push(Rec{Op: OpBarrierDepart, Tid: tid, Aux: uint64(b)})
+	e.push(BarrierDepartRec(tid, b))
 }
-func (e *Encoder) Malloc(tid vc.TID, addr, size uint64) {
-	e.push(Rec{Op: OpMalloc, Tid: tid, Addr: addr, Aux: size})
-}
-func (e *Encoder) Free(tid vc.TID, addr, size uint64) {
-	e.push(Rec{Op: OpFree, Tid: tid, Addr: addr, Aux: size})
-}
+func (e *Encoder) Malloc(tid vc.TID, addr, size uint64) { e.push(MallocRec(tid, addr, size)) }
+func (e *Encoder) Free(tid vc.TID, addr, size uint64)   { e.push(FreeRec(tid, addr, size)) }

@@ -184,21 +184,9 @@ func (t Tee) WGWait(tid vc.TID, wg WGID) {
 
 // Encoder records the Go-native events; see Rec for the field conventions.
 
-func (e *Encoder) ChanSend(tid vc.TID, ch ChanID, cap int) {
-	e.push(Rec{Op: OpChanSend, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(cap)})
-}
-func (e *Encoder) ChanRecv(tid vc.TID, ch ChanID, cap int) {
-	e.push(Rec{Op: OpChanRecv, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(cap)})
-}
-func (e *Encoder) ChanAck(tid vc.TID, ch ChanID, cap int) {
-	e.push(Rec{Op: OpChanAck, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(cap)})
-}
-func (e *Encoder) WGAdd(tid vc.TID, wg WGID, delta int) {
-	e.push(Rec{Op: OpWGAdd, Tid: tid, Aux: uint64(uint32(wg)), Size: uint32(delta)})
-}
-func (e *Encoder) WGDone(tid vc.TID, wg WGID) {
-	e.push(Rec{Op: OpWGDone, Tid: tid, Aux: uint64(uint32(wg))})
-}
-func (e *Encoder) WGWait(tid vc.TID, wg WGID) {
-	e.push(Rec{Op: OpWGWait, Tid: tid, Aux: uint64(uint32(wg))})
-}
+func (e *Encoder) ChanSend(tid vc.TID, ch ChanID, cap int) { e.push(ChanSendRec(tid, ch, cap)) }
+func (e *Encoder) ChanRecv(tid vc.TID, ch ChanID, cap int) { e.push(ChanRecvRec(tid, ch, cap)) }
+func (e *Encoder) ChanAck(tid vc.TID, ch ChanID, cap int)  { e.push(ChanAckRec(tid, ch, cap)) }
+func (e *Encoder) WGAdd(tid vc.TID, wg WGID, delta int)    { e.push(WGAddRec(tid, wg, delta)) }
+func (e *Encoder) WGDone(tid vc.TID, wg WGID)              { e.push(WGDoneRec(tid, wg)) }
+func (e *Encoder) WGWait(tid vc.TID, wg WGID)              { e.push(WGWaitRec(tid, wg)) }

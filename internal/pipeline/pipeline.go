@@ -202,6 +202,7 @@ func (w *worker) run(wg *sync.WaitGroup) {
 			w.applyRecs(it.b)
 			event.PutBatch(it.b)
 		}
+		w.det.Publish() // registry readers see each applied batch
 		if !start.IsZero() {
 			elapsed := time.Since(start)
 			if elapsed < 0 {
@@ -368,7 +369,7 @@ func New(opts Options) *Pipeline {
 	cfg := opts.Detector
 	if cfg.Metrics == nil && reg != nil {
 		// One shared instrument set: all detector instruments are atomic,
-		// so sharded increments sum exactly like the serial run's.
+		// so sharded publications sum exactly like the serial run's.
 		cfg.Metrics = detector.NewMetrics(reg)
 	}
 	for i := range p.workers {
@@ -730,86 +731,86 @@ func (p *Pipeline) Write(tid vc.TID, addr uint64, size uint32, pc event.PC) {
 
 // Acquire broadcasts a lock acquisition to every clock replica.
 func (p *Pipeline) Acquire(tid vc.TID, l event.LockID) {
-	p.broadcast(event.Rec{Op: event.OpAcquire, Tid: tid, Aux: uint64(l)})
+	p.broadcast(event.AcquireRec(tid, l))
 }
 
 // Release broadcasts a lock release (a new epoch for tid on every shard).
 func (p *Pipeline) Release(tid vc.TID, l event.LockID) {
-	p.broadcast(event.Rec{Op: event.OpRelease, Tid: tid, Aux: uint64(l)})
+	p.broadcast(event.ReleaseRec(tid, l))
 }
 
 // AcquireShared broadcasts a rwlock read-lock.
 func (p *Pipeline) AcquireShared(tid vc.TID, l event.LockID) {
-	p.broadcast(event.Rec{Op: event.OpAcquireShared, Tid: tid, Aux: uint64(l)})
+	p.broadcast(event.AcquireSharedRec(tid, l))
 }
 
 // ReleaseShared broadcasts a rwlock read-unlock.
 func (p *Pipeline) ReleaseShared(tid vc.TID, l event.LockID) {
-	p.broadcast(event.Rec{Op: event.OpReleaseShared, Tid: tid, Aux: uint64(l)})
+	p.broadcast(event.ReleaseSharedRec(tid, l))
 }
 
 // Fork broadcasts thread creation.
 func (p *Pipeline) Fork(parent, child vc.TID) {
-	p.broadcast(event.Rec{Op: event.OpFork, Tid: parent, Aux: uint64(child)})
+	p.broadcast(event.ForkRec(parent, child))
 }
 
 // Join broadcasts thread join.
 func (p *Pipeline) Join(parent, child vc.TID) {
-	p.broadcast(event.Rec{Op: event.OpJoin, Tid: parent, Aux: uint64(child)})
+	p.broadcast(event.JoinRec(parent, child))
 }
 
 // BarrierArrive broadcasts a barrier arrival.
 func (p *Pipeline) BarrierArrive(tid vc.TID, b event.BarrierID) {
-	p.broadcast(event.Rec{Op: event.OpBarrierArrive, Tid: tid, Aux: uint64(b)})
+	p.broadcast(event.BarrierArriveRec(tid, b))
 }
 
 // BarrierDepart broadcasts a barrier departure.
 func (p *Pipeline) BarrierDepart(tid vc.TID, b event.BarrierID) {
-	p.broadcast(event.Rec{Op: event.OpBarrierDepart, Tid: tid, Aux: uint64(b)})
+	p.broadcast(event.BarrierDepartRec(tid, b))
 }
 
 // ChanSend broadcasts a channel send (Go-native sync; every clock replica
 // pairs sends and receives by per-channel FIFO position, so broadcast
 // ordering is exactly what keeps the pairing identical across shards).
 func (p *Pipeline) ChanSend(tid vc.TID, ch event.ChanID, capacity int) {
-	p.broadcast(event.Rec{Op: event.OpChanSend, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(capacity)})
+	p.broadcast(event.ChanSendRec(tid, ch, capacity))
 }
 
 // ChanRecv broadcasts a channel receive.
 func (p *Pipeline) ChanRecv(tid vc.TID, ch event.ChanID, capacity int) {
-	p.broadcast(event.Rec{Op: event.OpChanRecv, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(capacity)})
+	p.broadcast(event.ChanRecvRec(tid, ch, capacity))
 }
 
 // ChanAck broadcasts an unbuffered send completion.
 func (p *Pipeline) ChanAck(tid vc.TID, ch event.ChanID, capacity int) {
-	p.broadcast(event.Rec{Op: event.OpChanAck, Tid: tid, Aux: uint64(uint32(ch)), Size: uint32(capacity)})
+	p.broadcast(event.ChanAckRec(tid, ch, capacity))
 }
 
 // WGAdd broadcasts a WaitGroup counter increment.
 func (p *Pipeline) WGAdd(tid vc.TID, wg event.WGID, delta int) {
-	p.broadcast(event.Rec{Op: event.OpWGAdd, Tid: tid, Aux: uint64(uint32(wg)), Size: uint32(delta)})
+	p.broadcast(event.WGAddRec(tid, wg, delta))
 }
 
 // WGDone broadcasts a WaitGroup decrement (a publication point for tid).
 func (p *Pipeline) WGDone(tid vc.TID, wg event.WGID) {
-	p.broadcast(event.Rec{Op: event.OpWGDone, Tid: tid, Aux: uint64(uint32(wg))})
+	p.broadcast(event.WGDoneRec(tid, wg))
 }
 
 // WGWait broadcasts a WaitGroup wait completion.
 func (p *Pipeline) WGWait(tid vc.TID, wg event.WGID) {
-	p.broadcast(event.Rec{Op: event.OpWGWait, Tid: tid, Aux: uint64(uint32(wg))})
+	p.broadcast(event.WGWaitRec(tid, wg))
 }
 
 // Malloc broadcasts heap allocation (a no-op for the detector, but kept in
 // stream order so every replica sees the same event sequence).
 func (p *Pipeline) Malloc(tid vc.TID, addr uint64, size uint64) {
-	p.broadcast(event.Rec{Op: event.OpMalloc, Tid: tid, Addr: addr, Aux: size})
+	p.broadcast(event.MallocRec(tid, addr, size))
 }
 
 // Free broadcasts deallocation; each worker drops only its own blocks'
 // shadow state.
 func (p *Pipeline) Free(tid vc.TID, addr uint64, size uint64) {
-	p.broadcast(event.Rec{Op: event.OpFree, Tid: tid, Addr: addr, Aux: size})
+	p.broadcast(event.FreeRec(tid, addr, size))
 }
 
 // Wait flushes pending batches, waits for every worker to drain, and merges

@@ -51,7 +51,7 @@ type Options struct {
 	// unlimited. A guard against runaway workloads.
 	MaxEvents uint64
 	// Deadline, when non-zero, stops scheduling once the wall clock passes
-	// it; Stats.TimedOut is set. The harness uses this to emulate the
+	// it (read once per 256 scheduling decisions); Stats.TimedOut is set. The harness uses this to emulate the
 	// paper's ">24 hours, analysis stopped" outcomes within a benchmark
 	// budget. Virtual threads that have not finished are abandoned (their
 	// goroutines stay parked until process exit), so a timed-out run's
@@ -249,13 +249,18 @@ func (t *Thread) run() {
 	e.parked <- struct{}{}
 }
 
+// deadlineEvery is how many scheduling decisions share one wall-clock
+// read against Options.Deadline.
+const deadlineEvery = 256
+
 // schedule is the engine main loop: pick a runnable thread, hand it the
 // execution token, wait for it to park (yield, block, or finish). It
-// returns true when the run was abandoned at the deadline.
+// returns true when the run was abandoned at the deadline, which it checks
+// before the first decision and every deadlineEvery decisions after it.
 func (e *Engine) schedule(name string) bool {
 	checkDeadline := !e.opts.Deadline.IsZero()
-	for len(e.runnable) > 0 {
-		if checkDeadline && time.Now().After(e.opts.Deadline) {
+	for decisions := 0; len(e.runnable) > 0; decisions++ {
+		if checkDeadline && decisions%deadlineEvery == 0 && time.Now().After(e.opts.Deadline) {
 			return true
 		}
 		i := e.rng.Intn(len(e.runnable))

@@ -353,6 +353,57 @@ func TestDeadlineTimesOut(t *testing.T) {
 	}
 }
 
+// TestPassedDeadlineStopsEarly checks that a deadline already passed stops
+// the run within the first deadlineEvery scheduling decisions, each of
+// which delivers at most one quantum of events.
+func TestPassedDeadlineStopsEarly(t *testing.T) {
+	c := &event.Counter{}
+	st := Run(Program{Name: "late", Main: func(m *Thread) {
+		for i := 0; i < 4; i++ {
+			m.Go(func(w *Thread) {
+				for j := 0; j < 1_000_000; j++ {
+					w.Write(0x100+uint64(j%64), 1)
+				}
+			})
+		}
+	}}, c, Options{Deadline: time.Now().Add(-time.Second)})
+	if !st.TimedOut {
+		t.Error("run with a passed deadline did not time out")
+	}
+	if limit := uint64(deadlineEvery * 64); st.Events > limit {
+		t.Errorf("%d events delivered past the deadline, want at most %d", st.Events, limit)
+	}
+}
+
+// TestFarDeadlineChangesNothing checks that a deadline the run never
+// reaches leaves its statistics identical to a run without one.
+func TestFarDeadlineChangesNothing(t *testing.T) {
+	prog := Program{Name: "far", Main: func(m *Thread) {
+		mu := m.NewLock()
+		var ws []*Thread
+		for i := 0; i < 3; i++ {
+			ws = append(ws, m.Go(func(w *Thread) {
+				a := w.Malloc(64)
+				for j := 0; j < 5000; j++ {
+					w.WithLock(mu, func() { w.Write(a+uint64(j%8)*8, 8) })
+				}
+				w.Free(a)
+			}))
+		}
+		for _, w := range ws {
+			m.Join(w)
+		}
+	}}
+	none := Run(prog, event.Nop{}, Options{Seed: 3})
+	far := Run(prog, event.Nop{}, Options{Seed: 3, Deadline: time.Now().Add(time.Hour)})
+	if far != none {
+		t.Errorf("stats with a far deadline %+v, without %+v", far, none)
+	}
+	if none.Events < deadlineEvery*64 {
+		t.Errorf("only %d events: too few decisions to cross a deadline check", none.Events)
+	}
+}
+
 func TestWithLock(t *testing.T) {
 	l := &logSink{}
 	Run(Program{Name: "withlock", Main: func(m *Thread) {

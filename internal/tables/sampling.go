@@ -49,7 +49,8 @@ type SamplingCurvePoint struct {
 // SamplingBench sweeps the budget over every workload on the serial
 // in-process path (Workers 0, so the sampler's rate stays statically at
 // the budget and rows are deterministic) and scores recall against the
-// exhaustive dynamic-granularity run.
+// exhaustive dynamic-granularity run. It reads no timing, so each
+// configuration runs once.
 func (r *Runner) SamplingBench(budgets []float64) ([]SamplingRow, []SamplingCurvePoint) {
 	if len(budgets) == 0 {
 		budgets = DefaultSamplingBudgets
@@ -60,14 +61,14 @@ func (r *Runner) SamplingBench(budgets []float64) ([]SamplingRow, []SamplingCurv
 		agg[i].Budget = b
 	}
 	for _, spec := range r.specs {
-		full := r.Report(spec, race.Options{Granularity: race.Dynamic})
+		full := r.untimed(spec, race.Options{Granularity: race.Dynamic})
 		fullRaces := sortedRaceStrings(full.Races)
 		fullSet := make(map[string]bool, len(fullRaces))
 		for _, s := range fullRaces {
 			fullSet[s] = true
 		}
 		for i, b := range budgets {
-			rep := r.Report(spec, race.Options{Granularity: race.Dynamic, Budget: b})
+			rep := r.untimed(spec, race.Options{Granularity: race.Dynamic, Budget: b})
 			found := 0
 			for _, s := range sortedRaceStrings(rep.Races) {
 				if fullSet[s] {

@@ -5,8 +5,9 @@
 // rendered in the paper's layout.
 //
 // Runs are cached per (benchmark, configuration), so printing all six
-// tables executes each configuration once. Timing rows use the median of
-// several baseline runs to stabilize slowdown factors.
+// tables executes each configuration once. Timed configurations run
+// Config.TimingRuns times and keep the minimum wall time, which stabilizes
+// slowdown factors.
 package tables
 
 import (
@@ -118,7 +119,8 @@ func bestDuration(ds []time.Duration) time.Duration {
 	return ds[0]
 }
 
-// Baseline returns the uninstrumented run of the benchmark (median timing).
+// Baseline returns the uninstrumented run of the benchmark, timed as the
+// minimum over TimingRuns runs.
 func (r *Runner) Baseline(s workloads.Spec) baseline {
 	if b, ok := r.bases[s.Name]; ok {
 		return b
@@ -138,7 +140,7 @@ func (r *Runner) Baseline(s workloads.Spec) baseline {
 }
 
 // Report runs (or retrieves) the benchmark under opts. Timing is the
-// median over TimingRuns runs; all other fields come from the last run
+// minimum over TimingRuns runs; all other fields come from the last run
 // (identical across runs by determinism).
 func (r *Runner) Report(s workloads.Spec, opts race.Options) race.Report {
 	opts.Seed = r.cfg.Seed
@@ -160,6 +162,18 @@ func (r *Runner) Report(s workloads.Spec, opts race.Options) race.Report {
 	rep.Elapsed = bestDuration(times)
 	r.cache[key] = rep
 	return rep
+}
+
+// untimed returns the benchmark's report under opts for a lane that reads
+// no timing: the cached report when one exists, else one run, left
+// uncached because its Elapsed is a single observation rather than the
+// minimum Report promises.
+func (r *Runner) untimed(s workloads.Spec, opts race.Options) race.Report {
+	opts.Seed = r.cfg.Seed
+	if rep, ok := r.cache[s.Name+"|"+optsKey(opts)]; ok {
+		return rep
+	}
+	return race.Run(s.Build(r.cfg.Scale), opts)
 }
 
 func (r *Runner) ftOpts(g race.Granularity) race.Options {

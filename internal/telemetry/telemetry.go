@@ -42,9 +42,10 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
+// Add adds n. Adding zero touches nothing, so a caller publishing a batch
+// of deltas pays no atomic operation for the ones that did not move.
 func (c *Counter) Add(n uint64) {
-	if c != nil {
+	if c != nil && n != 0 {
 		c.v.Add(n)
 	}
 }

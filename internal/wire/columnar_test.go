@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/event"
@@ -45,6 +47,127 @@ func columnarCases() map[string][]event.Rec {
 			{Op: event.OpFree, Tid: math.MaxInt32, Addr: 0, Aux: 0, Seq: 0},
 			{Op: event.OpRead, Tid: math.MinInt32, Addr: 1, Size: math.MaxUint32, PC: math.MaxUint32, Seq: 9},
 		},
+	}
+}
+
+// goldenRecs is the record list the golden bytes encode: every op, runs of
+// ops and tids, zero, negative and multi-byte deltas on addr, pc, aux and
+// seq, sizes of 128 and above, and a 10-byte aux varint.
+func goldenRecs() []event.Rec {
+	return []event.Rec{
+		{Op: event.OpRead, Tid: 0, Addr: 0x1000, Size: 8, PC: 0x10, Seq: 1},
+		{Op: event.OpRead, Tid: 0, Addr: 0x1000, Size: 8, PC: 0x10, Seq: 2},
+		{Op: event.OpWrite, Tid: 0, Addr: 0xff8, Size: 200, PC: 0x8, Seq: 3},
+		{Op: event.OpWrite, Tid: 1, Addr: 0x7fff00001000, Size: 4096, PC: 0xabcdef, Seq: 1000},
+		{Op: event.OpAcquire, Tid: 1, Aux: 5, Seq: 999},
+		{Op: event.OpRelease, Tid: 1, Aux: 5, Seq: 1001},
+		{Op: event.OpAcquireShared, Tid: 2, Aux: 300, Seq: 1002},
+		{Op: event.OpReleaseShared, Tid: 2, Aux: 300, Seq: 1002},
+		{Op: event.OpFork, Tid: 0, Aux: 3, Seq: 1003},
+		{Op: event.OpJoin, Tid: 0, Aux: 3, Seq: 1004},
+		{Op: event.OpBarrierArrive, Tid: 3, Aux: 1, Seq: 1005},
+		{Op: event.OpBarrierDepart, Tid: 3, Aux: 1, Seq: 1006},
+		{Op: event.OpMalloc, Tid: 3, Addr: 0x20000, Aux: 1 << 20, Seq: 1 << 40},
+		{Op: event.OpFree, Tid: 3, Addr: 0x20000, Aux: 1 << 20, Seq: 1<<40 + 1},
+		{Op: event.OpChanSend, Tid: -1, Aux: 7, Size: 0, Seq: 1<<40 + 2},
+		{Op: event.OpChanRecv, Tid: 4, Aux: 7, Size: 128, Seq: 1<<40 + 3},
+		{Op: event.OpChanAck, Tid: 4, Aux: 7, Size: 128, Seq: 1<<40 + 4},
+		{Op: event.OpWGAdd, Tid: 5, Aux: 9, Size: 0xffffffff, Seq: 1<<40 + 5},
+		{Op: event.OpWGDone, Tid: 6, Aux: 9, Seq: 1<<40 + 6},
+		{Op: event.OpWGWait, Tid: 5, Aux: 1 << 63, Seq: 1<<40 + 7},
+		{Op: event.OpRead, Tid: 5, Addr: 0x7fff00001000, Size: 1, PC: 0xabcdee, Aux: 0, Seq: 1<<40 + 8},
+		{Op: event.OpRead, Tid: 5, Addr: 0x10, Size: 16, PC: 0xffffffff, Seq: 1<<40 + 9},
+	}
+}
+
+// Protocol version 2 bytes of goldenRecs, recorded before ColumnEncoder
+// existed (from AppendColumnar, AppendBatchFrame and the traced-frame
+// encoder ColumnEncoder.AppendFrame replaced): the payload, the header of
+// the untraced frame (session 0x0102030405060708, seq 77) and the header
+// plus span-context prefix of the traced one (seq 78, trace
+// 0x1122334455667788, span 0x99aabbccddeeff00). Both frames end in the
+// payload. A version-2 peer must see exactly these bytes.
+const (
+	goldenPayloadHex = "" +
+		"1600020102020103010401050106010701080109010a010b010c010d010e010f" +
+		"0110011101000200030203040200020604010108020a010c010a038040000f90" +
+		"808080e0ff3fffbf8080e0ff3f0000000000000080801000ffff0f0000000000" +
+		"80c08080e0ff3fdfbf8080e0ff3f0808c8018020000000000000000000000080" +
+		"018001ffffffff0f0000011020000fceb7de0addb7de0a000000000000000000" +
+		"000000000000dcb7de0aa2c8a1f51f000000000a00ce0400d104000300feff7f" +
+		"00f1ff7f00000400eeffffffffffffffff01ffffffffffffffffff0100020202" +
+		"ca0f0104020002020202a4f0ffffff3f020202020202020202"
+	goldenFrameHeaderHex  = "524477310300000008070605040302014d00000000000000f9000000ebee7a5a"
+	goldenTracedHeaderHex = "524477310301000008070605040302014e0000000000000009010000180916ed" +
+		"887766554433221100ffeeddccbbaa99"
+)
+
+// tracedFrame encodes recs as a Batch frame carrying span context
+// (trace, span).
+func tracedFrame(h Header, recs []event.Rec, trace, span uint64) []byte {
+	var e ColumnEncoder
+	for i := range recs {
+		e.Append(recs[i])
+	}
+	return e.AppendFrame(nil, h, trace, span)
+}
+
+// TestColumnarGoldenBytes pins protocol version 2 byte for byte: every
+// encoding entry point must reproduce the recorded payload and frames, a
+// reused encoder must too, and the decoder must return the records.
+func TestColumnarGoldenBytes(t *testing.T) {
+	recs := goldenRecs()
+	mustHex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	payload := mustHex(goldenPayloadHex)
+	frame := append(mustHex(goldenFrameHeaderHex), payload...)
+	traced := append(mustHex(goldenTracedHeaderHex), payload...)
+	h := Header{Session: 0x0102030405060708, Seq: 77}
+	th := Header{Session: 0x0102030405060708, Seq: 78}
+	const trace, span = 0x1122334455667788, 0x99aabbccddeeff00
+	same := func(what string, got, want []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %x\nwant %x", what, got, want)
+		}
+	}
+
+	same("AppendColumnar", AppendColumnar(nil, recs), payload)
+	same("AppendBatchFrame", AppendBatchFrame(nil, h, &event.Batch{Recs: recs}), frame)
+	var e ColumnEncoder
+	for round := 0; round < 2; round++ { // the second round reuses the encoder
+		e.Reset()
+		for i := range recs {
+			e.Append(recs[i])
+		}
+		same("ColumnEncoder.AppendPayload", e.AppendPayload(nil), payload)
+		same("ColumnEncoder.AppendFrame", e.AppendFrame(nil, h, 0, 0), frame)
+		same("ColumnEncoder.AppendFrame traced", e.AppendFrame(nil, th, trace, span), traced)
+	}
+
+	rh, body, err := NewReader(bytes.NewReader(traced), 0).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTrace, gotSpan, cols, err := SplitTracePrefix(rh, body)
+	if err != nil || gotTrace != trace || gotSpan != span ||
+		rh != (Header{Type: TypeBatch, Flags: FlagTraced, Session: th.Session, Seq: th.Seq}) {
+		t.Fatalf("traced frame header %+v, context (%#x, %#x), err %v", rh, gotTrace, gotSpan, err)
+	}
+	for _, p := range [][]byte{payload, cols} {
+		c, err := DecodeColumnarCols(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := colsRecs(c); !reflect.DeepEqual(got, recs) {
+			t.Errorf("decoded records differ:\n got %+v\nwant %+v", got, recs)
+		}
+		event.PutCols(c)
 	}
 }
 
@@ -201,8 +324,8 @@ func TestColsDecodeRejectsMalformedAndRewinds(t *testing.T) {
 		t.Helper()
 		c := &event.Cols{}
 		c.Append(sentinel)
-		if err := DecodeColumnarColsInto(bad, c); err == nil {
-			t.Fatal("malformed payload accepted")
+		if err := DecodeColumnarColsInto(bad, c); !errors.Is(err, errColumnar) {
+			t.Fatalf("err = %v, want a malformed-payload error", err)
 		}
 		if c.Len() != 1 || c.Rec(0) != sentinel {
 			t.Fatalf("failed decode did not rewind: len %d", c.Len())
@@ -251,6 +374,48 @@ func TestColsDecodeRejectsMalformedAndRewinds(t *testing.T) {
 		}
 		check(t, bad)
 	})
+	// Malformed varints where the decoder reads a multi-byte value. An
+	// overlong one is planted once in the addr column with at least
+	// maxVarintLen bytes still to go (the unrolled read) and once ending
+	// the payload in the seq column (it still starts maxVarintLen or more
+	// bytes before the end, so the unrolled read hands it to the checked
+	// loop to be named). A cut varint can only end the payload, fewer than
+	// maxVarintLen bytes before its end, so it is tested in the checked
+	// tail only.
+	long11 := append(bytes.Repeat([]byte{0x80}, 10), 0x01) // 11 bytes
+	tenth := append(bytes.Repeat([]byte{0xff}, 9), 0x02)   // 10th byte above 1
+	for _, tc := range []struct {
+		name      string
+		addr, seq []byte
+	}{
+		{"11-byte-varint/unrolled", long11, []byte{2}},
+		{"10th-byte-above-1/unrolled", tenth, []byte{2}},
+		{"11-byte-varint/tail", []byte{0x10}, long11},
+		{"10th-byte-above-1/tail", []byte{0x10}, tenth},
+		{"cut-varint/tail", []byte{0x10}, []byte{0xff, 0xff}},
+		{"cut-9-byte-varint/tail", []byte{0x10}, bytes.Repeat([]byte{0xff}, 9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := varintPayload(tc.addr, tc.seq)
+			if strings.HasSuffix(tc.name, "/unrolled") && len(bad)-varintPayloadAddrOff < maxVarintLen {
+				t.Fatalf("planted varint starts %d bytes before the end, want >= %d", len(bad)-varintPayloadAddrOff, maxVarintLen)
+			}
+			check(t, bad)
+		})
+	}
+}
+
+// varintPayloadAddrOff is where varintPayload plants its addr bytes.
+const varintPayloadAddrOff = 5
+
+// varintPayload hand-builds a one-record payload whose addr and seq
+// columns hold the given raw bytes, so a test can plant encodings the
+// encoder never emits. The other columns are valid single bytes.
+func varintPayload(addr, seq []byte) []byte {
+	p := []byte{1, byte(event.OpRead), 1, 0, 1} // count, op run, tid run
+	p = append(p, addr...)
+	p = append(p, 8, 0, 0) // size, pc delta, aux delta
+	return append(p, seq...)
 }
 
 // TestDecodeErrorPathsReturnPooledBatches is the pool-leak regression:

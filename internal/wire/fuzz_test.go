@@ -50,8 +50,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
 	f.Add(AppendBatchFrame(nil, Header{Session: 1, Seq: 1},
 		&event.Batch{Recs: []event.Rec{{Op: event.OpWrite, Addr: 0x1000, Size: 4, Seq: 1}}}))
-	f.Add(AppendBatchFrameTraced(nil, Header{Session: 2, Seq: 2},
-		&event.Batch{Recs: []event.Rec{{Op: event.OpRead, Addr: 0x2000, Size: 8, Seq: 1}}}, 7, 9))
+	f.Add(tracedFrame(Header{Session: 2, Seq: 2},
+		[]event.Rec{{Op: event.OpRead, Addr: 0x2000, Size: 8, Seq: 1}}, 7, 9))
 	// Go-native sync ops, so the corpus reaches the top of the op range
 	// from the start.
 	f.Add(AppendBatchFrame(nil, Header{Session: 3, Seq: 1}, &event.Batch{Recs: []event.Rec{

@@ -12,8 +12,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/event"
 )
 
 // FlagTraced marks a Batch frame whose payload opens with a TracePrefixSize
@@ -24,27 +22,6 @@ const FlagTraced = 0x1
 // TracePrefixSize is the traced-batch payload prefix: trace id (8 bytes LE)
 // then span id (8 bytes LE).
 const TracePrefixSize = 16
-
-// AppendBatchFrameTraced encodes b as a Batch frame with a span-context
-// payload prefix, setting FlagTraced. A zero trace id means "this batch is
-// unsampled": the frame is emitted untraced, byte identical to
-// AppendBatchFrame, so per-batch sampling costs nothing on the wire for
-// unsampled batches.
-func AppendBatchFrameTraced(dst []byte, h Header, b *event.Batch, trace, span uint64) []byte {
-	if trace == 0 {
-		return AppendBatchFrame(dst, h, b)
-	}
-	h.Type = TypeBatch
-	h.Flags |= FlagTraced
-	off := len(dst)
-	dst = append(dst, make([]byte, HeaderSize+TracePrefixSize)...)
-	binary.LittleEndian.PutUint64(dst[off+HeaderSize:], trace)
-	binary.LittleEndian.PutUint64(dst[off+HeaderSize+8:], span)
-	dst = AppendColumnar(dst, b.Recs)
-	payload := dst[off+HeaderSize:]
-	putHeader(dst[off:], h, uint32(len(payload)), checksum(payload))
-	return dst
-}
 
 // SplitTracePrefix separates a Batch payload into its span context and the
 // columnar-encoded records. Untraced frames (flag clear) pass through with a
