@@ -14,7 +14,6 @@
 //	racedetect -bench histogram -elide   # drop exact in-epoch repeats at the source (lossless)
 //	racedetect -bench x264 -remote localhost:7474   # stream to racedetectd
 //	racedetect -bench canneal -cluster host1:7474,host2:7474   # sharded detection cluster
-//	racedetect -bench ferret -workers 4 -batch-policy adaptive
 //	racedetect -bench ffmpeg -workers 4 -metrics-addr :7070 -stats-interval 1s
 //	racedetect -bench ferret -trace-out ferret-trace.json   # phase trace
 //	racedetect -bench dedup -memprofile dedup.pprof -memstats  # allocation forensics
@@ -84,10 +83,6 @@ func main() {
 			"stream events to a racedetectd at this address instead of detecting in-process (fasttrack only)")
 		clusterList = flag.String("cluster", "",
 			"comma-separated racedetectd addresses: shard accesses across the fleet and merge their reports (fasttrack only)")
-		remoteSync = flag.Bool("remote-sync", false,
-			"with -remote: strict-ordering synchronous streaming (each batch acknowledged before the next)")
-		batchPolicy = flag.String("batch-policy", "fixed",
-			"transport batch sizing: fixed | adaptive (size batches from observed back-pressure)")
 		statsInterval = flag.Duration("stats-interval", 0,
 			"print a one-line progress report to stderr every interval (0 disables)")
 		metricsAddr = flag.String("metrics-addr", "",
@@ -125,10 +120,9 @@ func main() {
 
 	opts := race.Options{
 		Seed: *seed, Timeout: *timeout, MemLimitBytes: *memMB << 20,
-		Workers: *workers, Remote: *remote, RemoteSync: *remoteSync,
+		Workers: *workers, Remote: *remote,
 		StatsInterval: *statsInterval, MetricsAddr: *metricsAddr,
-		BatchPolicy: *batchPolicy,
-		Provenance:  *provenance, TraceSample: *traceSample,
+		Provenance: *provenance, TraceSample: *traceSample,
 		Elide: *elide,
 	}
 	if *budget != "" {

@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/detector"
 	"repro/internal/event"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/vc"
 	"repro/internal/wire"
@@ -135,35 +139,104 @@ func TestRecorderEventCount(t *testing.T) {
 	}
 }
 
+// startDetectd starts a loopback racedetectd for the duration of the test.
+func startDetectd(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Options{})
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		if err := <-done; err != nil && err != server.ErrServerClosed {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	return l.Addr().String()
+}
+
+// topology is one detection topology a replay runs through.
+type topology struct {
+	name string
+	opts race.Options
+}
+
+// topologies returns the serial detector, the sharded pipeline, a
+// loopback racedetectd and a two-member loopback cluster.
+func topologies(t *testing.T) []topology {
+	addrs := []string{startDetectd(t), startDetectd(t), startDetectd(t)}
+	return []topology{
+		{"serial", race.Options{}},
+		{"workers=2", race.Options{Workers: 2}},
+		{"remote", race.Options{Remote: addrs[0]}},
+		{"cluster", race.Options{Cluster: addrs[1:]}},
+	}
+}
+
+// feed replays a recorded trace into race.Replay's sink.
+func feed(data []byte) func(race.Sink) error {
+	return func(s race.Sink) error { return replayTrace(bytes.NewReader(data), s) }
+}
+
 // TestReplayedAnalysisMatchesLive pins the offline-analysis workflow: a
-// detector fed from a recorded trace reports exactly what race.RunE
-// reports on the live run, for every workload and granularity.
+// trace replayed through race.Replay reports exactly the races and
+// analyzed accesses race.RunE reports on the live run with the same
+// options. The table covers every workload at every granularity on the
+// serial detector, and fanin (channels and WaitGroups) and x264 (locks)
+// at dynamic granularity on every other topology.
 func TestReplayedAnalysisMatchesLive(t *testing.T) {
+	type cell struct {
+		spec workloads.Spec
+		opts race.Options
+		name string
+	}
+	var cells []cell
 	for _, spec := range workloads.All() {
-		data := record(t, func(s event.Sink) { sim.Run(spec.Program(), s, sim.Options{Seed: 42}) })
 		for _, g := range []race.Granularity{race.Byte, race.Word, race.Dynamic} {
-			live, err := race.RunE(spec.Program(), race.Options{Granularity: g, Seed: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := detector.New(detector.Config{Granularity: g})
-			if err := replayTrace(bytes.NewReader(data), d); err != nil {
-				t.Fatalf("%s/%s: %v", spec.Name, g, err)
-			}
-			var got []race.Race
-			for _, x := range d.Races() {
-				got = append(got, race.Race{
-					Kind: x.Kind.String(), Addr: x.Addr, Size: x.Size,
-					Tid: int32(x.Tid), PC: uint32(x.PC),
-					OtherTid: int32(x.PrevTid), OtherPC: uint32(x.PrevPC),
-				})
-			}
-			if !reflect.DeepEqual(got, live.Races) {
-				t.Errorf("%s/%s: replay reports %d races, live %d", spec.Name, g, len(got), len(live.Races))
-			}
-			if acc := d.Stats().Accesses; acc != live.Detector.Accesses {
-				t.Errorf("%s/%s: replay analyzed %d accesses, live %d", spec.Name, g, acc, live.Detector.Accesses)
-			}
+			cells = append(cells, cell{spec, race.Options{Granularity: g}, "serial/" + g.String()})
+		}
+	}
+	tops := topologies(t)
+	for _, name := range []string{"fanin", "x264"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, top := range tops[1:] {
+			opts := top.opts
+			opts.Granularity = race.Dynamic
+			cells = append(cells, cell{spec, opts, top.name})
+		}
+	}
+	traces := map[string][]byte{}
+	for _, c := range cells {
+		data, ok := traces[c.spec.Name]
+		if !ok {
+			data = record(t, func(s event.Sink) { sim.Run(c.spec.Program(), s, sim.Options{Seed: 42}) })
+			traces[c.spec.Name] = data
+		}
+		name := c.spec.Name + "/" + c.name
+		live := c.opts
+		live.Seed = 42
+		want, err := race.RunE(c.spec.Program(), live)
+		if err != nil {
+			t.Fatalf("%s: live run: %v", name, err)
+		}
+		got, err := race.Replay(c.spec.Name, feed(data), c.opts)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Races, want.Races) {
+			t.Errorf("%s: replay reports %d races, live %d:\nreplay %v\nlive   %v",
+				name, len(got.Races), len(want.Races), got.Races, want.Races)
+		}
+		if got.Detector.Accesses != want.Detector.Accesses {
+			t.Errorf("%s: replay analyzed %d accesses, live %d", name, got.Detector.Accesses, want.Detector.Accesses)
 		}
 	}
 }
@@ -207,7 +280,9 @@ func TestReplayKeepsGoSyncStructured(t *testing.T) {
 }
 
 // TestReplayTruncatedFails checks that damaged or foreign files are
-// refused instead of replaying a partial stream.
+// refused instead of replaying a partial stream: replayTrace fails, and
+// race.Replay returns that same error on every topology, having drained
+// its workers or closed its sessions, so no goroutine outlives it.
 func TestReplayTruncatedFails(t *testing.T) {
 	data := record(t, func(s event.Sink) {
 		for i := 0; i < 3*event.DefaultBatchSize; i++ {
@@ -227,9 +302,19 @@ func TestReplayTruncatedFails(t *testing.T) {
 		// Opcode/varint records (write tid 0 addr +0x1000 size 1 pc 0, …).
 		"older opcode format": bytes.Repeat([]byte{0x02, 0x00, 0x80, 0x40, 0x01, 0x00}, 16),
 	}
+	tops := topologies(t) // servers up before the goroutine baseline
+	base := runtime.NumGoroutine()
 	for name, bad := range cases {
-		if err := replayTrace(bytes.NewReader(bad), &collector{}); err == nil {
+		want := replayTrace(bytes.NewReader(bad), &collector{})
+		if want == nil {
 			t.Errorf("%s: replay accepted a damaged trace", name)
+			continue
+		}
+		for _, top := range tops {
+			_, err := race.Replay(name, feed(bad), top.opts)
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s/%s: race.Replay returned %v, want %v", name, top.name, err, want)
+			}
 		}
 	}
 	if err := replayTrace(bytes.NewReader(cases["older opcode format"]), &collector{}); !strings.Contains(err.Error(), "magic") {
@@ -237,6 +322,13 @@ func TestReplayTruncatedFails(t *testing.T) {
 	}
 	if err := replayTrace(bytes.NewReader(data), &collector{}); err != nil {
 		t.Fatalf("intact trace: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after the replays, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -3,13 +3,17 @@
 // workflow of RecPlay (Section VI related work), useful for analyzing one
 // execution under many detector configurations without re-running the
 // program. A trace file holds the same CRC-checked columnar Batch frames a
-// client streams to racedetectd (see frames.go).
+// client streams to racedetectd (see frames.go). A replay runs through
+// race.Replay, the wiring race.Run uses for a live program, so every tool,
+// topology and front end racedetect offers applies to a recorded trace and
+// reports what the live run reports.
 //
 // Usage:
 //
 //	tracereplay -record -bench ferret -out ferret.trace
 //	tracereplay -replay ferret.trace -tool fasttrack -granularity dynamic
 //	tracereplay -replay ferret.trace -tool drd
+//	tracereplay -replay ferret.trace -workers 4          # sharded detection
 //	tracereplay -replay ferret.trace -remote localhost:7474
 //	tracereplay -replay ferret.trace -budget 5%          # budgeted sampling lane
 //	tracereplay -replay ferret.trace -elide              # lossless same-epoch elision
@@ -27,8 +31,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -36,15 +38,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/client"
-	"repro/internal/cluster"
-	"repro/internal/detector"
 	"repro/internal/event"
-	"repro/internal/sampling"
-	"repro/internal/segment"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
+	"repro/race"
 	"repro/workloads"
 )
 
@@ -56,17 +53,15 @@ func main() {
 		out    = flag.String("out", "out.trace", "output trace file")
 		scale  = flag.Int("scale", 1, "workload scale when recording")
 		seed   = flag.Int64("seed", 42, "scheduler seed when recording")
-		tool   = flag.String("tool", "fasttrack", "replay tool: fasttrack | drd")
-		gran   = flag.String("granularity", "dynamic", "byte | word | dynamic")
+		tool   = flag.String("tool", "fasttrack", "replay tool: fasttrack | djit | drd | inspector | eraser")
+		gran   = flag.String("granularity", "dynamic", "byte | word | dynamic (fasttrack only)")
 		v      = flag.Bool("v", false, "print each race")
 		remote = flag.String("remote", "",
-			"replay into a racedetectd at this address instead of an in-process detector")
+			"replay into a racedetectd at this address instead of an in-process detector (fasttrack only)")
 		clusterList = flag.String("cluster", "",
-			"comma-separated racedetectd addresses: replay sharded across the fleet and merge their reports")
+			"comma-separated racedetectd addresses: replay sharded across the fleet and merge their reports (fasttrack only)")
 		workers = flag.Int("workers", 0,
-			"with -remote: detection workers to request from the server (0 = server default)")
-		batchPolicy = flag.String("batch-policy", "fixed",
-			"with -remote: transport batch sizing (fixed | adaptive)")
+			"sharded detection workers for fasttrack (0 = serial); with -remote/-cluster, the workers each server runs")
 		statsInterval = flag.Duration("stats-interval", 0,
 			"print a one-line progress report to stderr every interval (0 disables)")
 		metricsAddr = flag.String("metrics-addr", "",
@@ -89,24 +84,11 @@ func main() {
 			"front-line same-epoch elision: drop exact in-epoch repeat accesses before detection/transport (lossless; fasttrack replays only)")
 	)
 	flag.Parse()
-	budgetFrac := 0.0
-	if *budget != "" {
-		b, err := parseBudget(*budget)
-		if err != nil || !(b >= 0 && b <= 1) { // negated so that NaN fails
-			fatal(fmt.Errorf("bad -budget %q (want a percentage like 5%% or a fraction in (0,1])", *budget))
-		}
-		budgetFrac = b
-	}
 	defer memReport(*memprofile, *memstats)
 
-	obs, err := startObs(*metricsAddr, *statsInterval)
-	if err != nil {
-		fatal(err)
-	}
-	defer obs.stop()
 	var tracer *telemetry.Tracer
 	if *traceOut != "" || *spanOut != "" {
-		tracer = telemetry.NewTracer()
+		tracer = race.NewTracer()
 	}
 	if *traceOut != "" {
 		defer func() {
@@ -165,93 +147,39 @@ func main() {
 			float64(info.Size())/float64(events))
 
 	case *replay != "":
+		opts := race.Options{
+			Workers: *workers, Remote: *remote,
+			StatsInterval: *statsInterval, MetricsAddr: *metricsAddr,
+			Provenance: *provenance, TraceSample: *traceSample,
+			Elide: *elide, Tracer: tracer,
+		}
+		var ok bool
+		if opts.Tool, ok = tools[*tool]; !ok {
+			fatal(fmt.Errorf("unknown replay tool %q", *tool))
+		}
+		if opts.Granularity, ok = granularities[*gran]; !ok {
+			fatal(fmt.Errorf("unknown granularity %q", *gran))
+		}
+		if *budget != "" {
+			b, err := parseBudget(*budget)
+			if err != nil {
+				fatal(fmt.Errorf("bad -budget %q: %v", *budget, err))
+			}
+			opts.Budget = b
+		}
+		if *clusterList != "" {
+			opts.Cluster = strings.Split(*clusterList, ",")
+		}
 		f, err := os.Open(*replay)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		start := time.Now()
-		knobs := streamKnobs{prov: *provenance, traceSample: *traceSample, tracer: tracer, budget: budgetFrac, elide: *elide}
-		if *clusterList != "" {
-			endReplay := tracer.Span("replay-cluster", map[string]any{"cluster": *clusterList})
-			replayCluster(f, strings.Split(*clusterList, ","), *gran, *batchPolicy, *workers, *v, start, obs.reg, knobs)
-			endReplay()
-			return
+		rep, err := race.Replay(*replay, func(s race.Sink) error { return replayTrace(f, s) }, opts)
+		if err != nil {
+			fatal(err)
 		}
-		if *remote != "" {
-			endReplay := tracer.Span("replay-remote", map[string]any{"addr": *remote})
-			replayRemote(f, *remote, *gran, *batchPolicy, *workers, *v, start, obs.reg, knobs)
-			endReplay()
-			return
-		}
-		switch *tool {
-		case "fasttrack":
-			g := map[string]detector.Granularity{
-				"byte": detector.Byte, "word": detector.Word, "dynamic": detector.Dynamic,
-			}[*gran]
-			cfg := detector.Config{Granularity: g, Provenance: *provenance}
-			if obs.reg != nil {
-				cfg.Metrics = detector.NewMetrics(obs.reg)
-			}
-			d := detector.New(cfg)
-			// The budgeted lane wraps the detector: same trace, a fraction of
-			// the accesses, the full synchronization skeleton.
-			var sink event.Sink = d
-			var smp *sampling.Detector
-			if budgetFrac > 0 && budgetFrac < 1 {
-				smp = sampling.New(d, sampling.Options{
-					RatePermille: uint32(budgetFrac*1000 + 0.5),
-					Telemetry:    obs.reg,
-				})
-				sink = smp
-			}
-			var el *event.Elider
-			if *elide {
-				el = event.NewElider(sink, event.EliderOptions{Telemetry: obs.reg})
-				sink = el
-			}
-			endReplay := tracer.Span("replay", map[string]any{"tool": "fasttrack", "granularity": *gran})
-			err := replayTrace(f, sink)
-			endReplay()
-			if err != nil {
-				fatal(err)
-			}
-			st := d.Stats()
-			fmt.Printf("fasttrack/%s over %d accesses in %v: %d races, %d peak clocks, %.2f MB peak\n",
-				*gran, st.Accesses, time.Since(start).Round(time.Microsecond),
-				len(d.Races()), st.Plane.NodesPeak, float64(st.TotalPeakBytes)/(1<<20))
-			if smp != nil {
-				printSamplingSummary(budgetFrac, smp)
-			}
-			if el != nil {
-				printElideSummary(el, st.Accesses)
-			}
-			if *provenance {
-				printProvSummary(d.Provs(), len(d.Races()))
-			}
-			if *v {
-				printRaces(d.Races(), d.Provs())
-			}
-		case "drd":
-			if budgetFrac > 0 && budgetFrac < 1 {
-				fatal(fmt.Errorf("-budget requires -tool fasttrack (drd's segment reuse assumes the full stream)"))
-			}
-			if *elide {
-				fatal(fmt.Errorf("-elide requires -tool fasttrack (the elision proof holds for the epoch-bitmap fast path only)"))
-			}
-			d := segment.New(segment.Options{})
-			endReplay := tracer.Span("replay", map[string]any{"tool": "drd"})
-			err := replayTrace(f, d)
-			endReplay()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("drd replay in %v: %d races, %.2f MB peak\n",
-				time.Since(start).Round(time.Microsecond),
-				len(d.Races()), float64(d.PeakBytes())/(1<<20))
-		default:
-			fatal(fmt.Errorf("unknown replay tool %q", *tool))
-		}
+		printReport(rep, opts, *v)
 
 	default:
 		flag.Usage()
@@ -259,284 +187,74 @@ func main() {
 	}
 }
 
-// parseStreamOpts maps the shared -granularity/-batch-policy flag values
-// for the remote and cluster replay paths, exiting on bad input.
-func parseStreamOpts(gran, batchPolicy string) (detector.Granularity, *event.BatchPolicy) {
-	g, ok := map[string]detector.Granularity{
-		"byte": detector.Byte, "word": detector.Word, "dynamic": detector.Dynamic,
-	}[gran]
-	if !ok {
-		fatal(fmt.Errorf("unknown granularity %q", gran))
+// tools and granularities map the -tool and -granularity values racedetect
+// accepts onto race.Options.
+var (
+	tools = map[string]race.Tool{
+		"fasttrack": race.FastTrack, "djit": race.DJITPlus, "drd": race.DRD,
+		"inspector": race.InspectorXE, "eraser": race.Eraser,
 	}
-	var policy *event.BatchPolicy
-	switch batchPolicy {
-	case "adaptive":
-		policy = new(event.BatchPolicy)
-	case "", "fixed":
-	default:
-		fatal(fmt.Errorf("unknown batch policy %q (want fixed or adaptive)", batchPolicy))
+	granularities = map[string]race.Granularity{
+		"byte": race.Byte, "word": race.Word, "dynamic": race.Dynamic,
 	}
-	return g, policy
-}
+)
 
-// streamKnobs bundles the observability knobs the remote and cluster
-// replay paths share: provenance negotiation, distributed-trace sampling,
-// and the span/trace recorder.
-type streamKnobs struct {
-	prov        bool
-	traceSample float64
-	tracer      *telemetry.Tracer
-	budget      float64 // sampling budget in (0,1); 0 or 1 disables the lane
-	elide       bool    // front-line same-epoch elision before the transport
-}
-
-// elideLane wraps a transport sink in the front-line same-epoch filter
-// when -elide is set; returns the sink unchanged (and nil) otherwise.
-func elideLane(sink event.Sink, on bool, reg *telemetry.Registry) (event.Sink, *event.Elider) {
-	if !on {
-		return sink, nil
-	}
-	el := event.NewElider(sink, event.EliderOptions{Telemetry: reg})
-	return el, el
-}
-
-// printElideSummary prints the front-line filter's one-line outcome.
-// detected is the access count that reached detection (Stats.Accesses).
-func printElideSummary(el *event.Elider, detected uint64) {
-	elided := el.Elided()
-	total := detected + elided
-	pct := 0.0
-	if total > 0 {
-		pct = 100 * float64(elided) / float64(total)
-	}
-	fmt.Printf("elision     %d of %d accesses elided at the source (%.2f%%)\n", elided, total, pct)
-}
-
-// samplingController builds the feedback controller for a budgeted
-// remote/cluster replay, or nil when the budget is off (0) or exhaustive
-// (1). Created before the transport dials so the transport can feed it
-// back-pressure signals; bound to the sampler by samplingLane after.
-func samplingController(budget float64) *sampling.Controller {
-	if budget <= 0 || budget >= 1 {
-		return nil
-	}
-	return sampling.NewController(budget)
-}
-
-// samplingLane wraps a transport sink in the budgeted sampler and binds
-// the controller (when one was created) so back-pressure steers the
-// rate. Returns the sink unchanged when the budget is off or exhaustive.
-func samplingLane(sink event.Sink, budget float64, ctrl *sampling.Controller, reg *telemetry.Registry) (event.Sink, *sampling.Detector) {
-	if budget <= 0 || budget >= 1 {
-		return sink, nil
-	}
-	smp := sampling.New(sink, sampling.Options{
-		RatePermille: uint32(budget*1000 + 0.5),
-		Telemetry:    reg,
-	})
-	if ctrl != nil {
-		ctrl.Bind(smp)
-	}
-	return smp, smp
-}
-
-// printSamplingSummary prints the budgeted lane's one-line outcome.
-func printSamplingSummary(budget float64, smp *sampling.Detector) {
-	forwarded, skipped := smp.Counts()
-	fmt.Printf("sampling    budget %.1f%%, sampled fraction %.2f%% (%d forwarded / %d skipped)\n",
-		100*budget, 100*smp.Rate(), forwarded, skipped)
-}
-
-// printProvSummary prints the explained-race tally front-ends and CI grep.
-func printProvSummary(provs []detector.Provenance, races int) {
-	explained := 0
-	for _, p := range provs {
-		if p.Kind != "" {
-			explained++
+// printReport prints a replay's outcome. The race lines (-v) are
+// racedetect's, so a replay's races diff cleanly against the live run's.
+func printReport(rep race.Report, opts race.Options, verbose bool) {
+	d := rep.Detector
+	fmt.Printf("replay      %s: %v", rep.Program, rep.Tool)
+	if rep.Tool == race.FastTrack {
+		fmt.Printf(" (%v granularity)", rep.Granularity)
+		if opts.Workers > 0 {
+			fmt.Printf(", %d detection workers", opts.Workers)
+		}
+		if opts.Remote != "" {
+			fmt.Printf(", remote %s", opts.Remote)
+		}
+		if len(opts.Cluster) > 0 {
+			fmt.Printf(", cluster of %d", len(opts.Cluster))
 		}
 	}
-	fmt.Printf("provenance  %d/%d races explained\n", explained, races)
-}
-
-// printRaces prints each race (and, when present, its indented
-// provenance explanation).
-func printRaces(races []detector.Race, provs []detector.Provenance) {
-	for i, r := range races {
-		fmt.Printf("  %v\n", r)
-		if i < len(provs) && provs[i].Kind != "" {
-			for _, line := range strings.Split(strings.TrimRight(provs[i].String(), "\n"), "\n") {
-				fmt.Printf("    %s\n", line)
+	fmt.Printf(" in %v\n", rep.Elapsed.Round(time.Microsecond))
+	if rep.Tool == race.FastTrack {
+		fmt.Printf("detection   %d accesses, %d peak vector clocks, %.2f MB peak, same-epoch %.0f%%\n",
+			d.Accesses, d.MaxVectorClocks, float64(d.TotalPeakBytes)/(1<<20), d.SameEpochPct())
+	} else if d.TotalPeakBytes > 0 {
+		fmt.Printf("memory      %.2f MB peak\n", float64(d.TotalPeakBytes)/(1<<20))
+	}
+	if opts.Budget > 0 {
+		fmt.Printf("sampling    budget %.1f%%, sampled fraction %.2f%% (%d forwarded / %d skipped, %d shed by server)\n",
+			100*opts.Budget, 100*d.SampledFraction(),
+			d.SampledForwarded, d.SampledSkipped, d.ShedRecords)
+	}
+	if opts.Elide {
+		total := d.Accesses + d.Elided
+		pct := 0.0
+		if total > 0 {
+			pct = 100 * float64(d.Elided) / float64(total)
+		}
+		fmt.Printf("elision     %d of %d accesses elided at the source (%.2f%%)\n", d.Elided, total, pct)
+	}
+	fmt.Printf("races       %d reported (%d suppressed by module rules)\n", len(rep.Races), rep.Suppressed)
+	if opts.Provenance {
+		explained := 0
+		for _, p := range rep.Provenance {
+			if p.Kind != "" {
+				explained++
 			}
 		}
-	}
-}
-
-// replayRemote streams a recorded trace to a racedetectd and prints the
-// service's report. reg, when non-nil, receives the client's wire metrics
-// (client_batches_total, client_encode_ns, …) for the -metrics-addr page.
-func replayRemote(f *os.File, addr, gran, batchPolicy string, workers int, verbose bool, start time.Time, reg *telemetry.Registry, knobs streamKnobs) {
-	g, policy := parseStreamOpts(gran, batchPolicy)
-	ctrl := samplingController(knobs.budget)
-	clOpts := client.Options{
-		Addr:        addr,
-		Telemetry:   reg,
-		BatchPolicy: policy,
-		TraceSample: knobs.traceSample,
-		Tracer:      knobs.tracer,
-		Hello:       wire.Hello{Granularity: uint8(g), Workers: workers, Provenance: knobs.prov},
-	}
-	if ctrl != nil {
-		clOpts.Backpressure = ctrl
-	}
-	cl, err := client.Dial(clOpts)
-	if err != nil {
-		fatal(err)
-	}
-	sink, smp := samplingLane(event.Sink(cl), knobs.budget, ctrl, reg)
-	sink, el := elideLane(sink, knobs.elide, reg)
-	if err := replayTrace(f, sink); err != nil {
-		fatal(err)
-	}
-	rep, err := cl.Close()
-	if err != nil {
-		fatal(err)
-	}
-	st := cl.Stats()
-	fmt.Printf("remote fasttrack/%s over %d accesses in %v: %d races, %d peak clocks, %.2f MB peak\n",
-		gran, rep.Stats.Accesses, time.Since(start).Round(time.Microsecond),
-		len(rep.Races), rep.Stats.NodesPeak, float64(rep.Stats.TotalPeakBytes)/(1<<20))
-	fmt.Printf("transport   %d batches, %d events, %d payload bytes to %s\n",
-		st.Batches, st.Events, st.PayloadBytes, addr)
-	if smp != nil {
-		printSamplingSummary(knobs.budget, smp)
-	}
-	if el != nil {
-		printElideSummary(el, rep.Stats.Accesses)
-	}
-	if knobs.prov {
-		printProvSummary(rep.DetectorProvs(), len(rep.Races))
+		fmt.Printf("provenance  %d/%d races explained\n", explained, len(rep.Races))
 	}
 	if verbose {
-		printRaces(rep.DetectorRaces(), rep.DetectorProvs())
-	}
-}
-
-// replayCluster shards a recorded trace across a racedetectd fleet and
-// prints the merged report — the fleet-scale sibling of replayRemote.
-// Per-member batch policies are independent, so an adaptive policy tunes
-// each member's batches to that member's observed back-pressure.
-func replayCluster(f *os.File, members []string, gran, batchPolicy string, workers int, verbose bool, start time.Time, reg *telemetry.Registry, knobs streamKnobs) {
-	g, policy := parseStreamOpts(gran, batchPolicy)
-	ctrl := samplingController(knobs.budget)
-	sOpts := cluster.Options{
-		Members:     members,
-		Telemetry:   reg,
-		TraceSample: knobs.traceSample,
-		Tracer:      knobs.tracer,
-		NewBatchPolicy: func() *event.BatchPolicy {
-			if policy == nil {
-				return nil
-			}
-			return new(event.BatchPolicy)
-		},
-		Hello: wire.Hello{Granularity: uint8(g), Workers: workers, Provenance: knobs.prov},
-	}
-	if ctrl != nil {
-		// One controller absorbs every member's signals: any overloaded
-		// member throttles the shared sampler.
-		sOpts.Backpressure = ctrl
-	}
-	cl, err := cluster.Dial(sOpts)
-	if err != nil {
-		fatal(err)
-	}
-	sink, smp := samplingLane(event.Sink(cl), knobs.budget, ctrl, reg)
-	sink, el := elideLane(sink, knobs.elide, reg)
-	if err := replayTrace(f, sink); err != nil {
-		fatal(err)
-	}
-	rep, err := cl.Close()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("cluster fasttrack/%s over %d accesses in %v: %d races, %d peak clocks, %.2f MB peak across %d members\n",
-		gran, rep.Stats.Accesses, time.Since(start).Round(time.Microsecond),
-		len(rep.Races), rep.Stats.NodesPeak, float64(rep.Stats.TotalPeakBytes)/(1<<20),
-		len(members))
-	if smp != nil {
-		printSamplingSummary(knobs.budget, smp)
-	}
-	if el != nil {
-		printElideSummary(el, rep.Stats.Accesses)
-	}
-	if knobs.prov {
-		printProvSummary(rep.DetectorProvs(), len(rep.Races))
-	}
-	if verbose {
-		printRaces(rep.DetectorRaces(), rep.DetectorProvs())
-	}
-}
-
-// obs owns tracereplay's optional telemetry side-cars: a metric registry
-// served over HTTP (-metrics-addr) and a periodic one-line progress report
-// to stderr (-stats-interval). When neither flag is set the registry stays
-// nil and the replay paths run uninstrumented.
-type obs struct {
-	reg  *telemetry.Registry
-	ln   net.Listener
-	quit chan struct{}
-	done chan struct{}
-}
-
-// startObs creates the registry and starts the side-cars the flags asked
-// for. With both flags unset it returns an inert obs (reg == nil).
-func startObs(addr string, interval time.Duration) (*obs, error) {
-	o := &obs{}
-	if addr == "" && interval <= 0 {
-		return o, nil
-	}
-	o.reg = telemetry.New()
-	if addr != "" {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("metrics endpoint: %w", err)
-		}
-		o.ln = ln
-		go (&http.Server{Handler: o.reg.Handler()}).Serve(ln)
-	}
-	if interval > 0 {
-		o.quit = make(chan struct{})
-		o.done = make(chan struct{})
-		go func() {
-			defer close(o.done)
-			start := time.Now()
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-o.quit:
-					return
-				case <-t.C:
-					fmt.Fprintf(os.Stderr, "progress t=%.1fs accesses=%d races=%d streamed=%d\n",
-						time.Since(start).Seconds(),
-						o.reg.CounterValue("detector_accesses_total"),
-						o.reg.CounterValue("detector_races_total"),
-						o.reg.CounterValue("client_events_total"))
+		for i, x := range rep.Races {
+			fmt.Printf("  %v\n", x)
+			if i < len(rep.Provenance) && rep.Provenance[i].Kind != "" {
+				for _, line := range strings.Split(strings.TrimRight(rep.Provenance[i].String(), "\n"), "\n") {
+					fmt.Printf("    %s\n", line)
 				}
 			}
-		}()
-	}
-	return o, nil
-}
-
-// stop joins the progress goroutine and closes the metrics listener.
-func (o *obs) stop() {
-	if o.quit != nil {
-		close(o.quit)
-		<-o.done
-	}
-	if o.ln != nil {
-		o.ln.Close()
+		}
 	}
 }
 

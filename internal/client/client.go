@@ -8,16 +8,11 @@
 //
 // Each event is encoded into the current batch's columns on the caller's
 // thread as it arrives (wire.ColumnEncoder); a full batch is framed with a
-// per-session batch sequence number. In the default asynchronous mode a
-// background sender goroutine writes frames while the producer keeps
-// running; the producer only blocks when the negotiated in-flight window
-// is full (the server acknowledges applied sequences, so a slow detection
-// pipeline back-pressures the producer instead of growing unbounded
-// buffers).
-// Options.Sync is the strict-ordering fallback: every batch is written on
-// the caller's thread and acknowledged before the next is encoded, which
-// pins the producer to the server's pace — useful for debugging and for
-// producers that must not run ahead of detection.
+// per-session batch sequence number. A background sender goroutine writes
+// frames while the producer keeps running; the producer only blocks when
+// the negotiated in-flight window is full (the server acknowledges applied
+// sequences, so a slow detection pipeline back-pressures the producer
+// instead of growing unbounded buffers).
 //
 // # Reconnect
 //
@@ -60,21 +55,11 @@ type Options struct {
 	// Window is the requested in-flight batch window (default 32; the
 	// server may grant less).
 	Window int
-	// Sync selects the strict-ordering fallback: batches are written
-	// synchronously on the caller's thread and each is acknowledged before
-	// the next send. Default is asynchronous streaming.
-	Sync bool
-	// BatchPolicy, when non-nil, adapts the batch flush threshold to
-	// transport back-pressure: outbox occupancy at ship time and the
-	// server's ack round trip (see event.BatchPolicy). Nil ships fixed
-	// event.DefaultBatchSize batches.
-	BatchPolicy *event.BatchPolicy
 
-	// Backpressure, when non-nil, receives the same outbox-occupancy and
-	// ack-RTT observations as BatchPolicy — the hook the budgeted
-	// sampling lane's feedback controller (sampling.Controller) plugs
-	// into. Independent of BatchPolicy: either, both or neither may be
-	// set.
+	// Backpressure, when non-nil, receives the outbox occupancy at each
+	// batch ship and the ack round trip of each acknowledged frame — the
+	// hook the budgeted sampling lane's feedback controller
+	// (sampling.Controller) plugs into.
 	Backpressure event.BackpressureObserver
 	// DialTimeout bounds one dial attempt (default 5s).
 	DialTimeout time.Duration
@@ -225,12 +210,10 @@ func newClientMetrics(r *telemetry.Registry) clientMetrics {
 // be called once after the stream ends.
 type Client struct {
 	opts Options
-	// col encodes the current batch's events as they arrive; seq numbers
-	// them across the stream and target is the flush threshold in records.
-	// All three belong to the event thread.
-	col    wire.ColumnEncoder
-	seq    uint64
-	target int
+	// col encodes the current batch's events as they arrive and seq
+	// numbers them across the stream; both belong to the event thread.
+	col wire.ColumnEncoder
+	seq uint64
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -254,7 +237,7 @@ type Client struct {
 	report      *wire.Report
 	reportReady bool
 
-	outbox   chan sentFrame // async mode only
+	outbox   chan sentFrame
 	sendDone chan struct{}
 
 	stats Stats
@@ -266,14 +249,7 @@ type Client struct {
 func Dial(opts Options) (*Client, error) {
 	c := &Client{opts: opts.withDefaults()}
 	c.met = newClientMetrics(c.opts.Telemetry)
-	if c.opts.Sync {
-		// Strict ordering keeps exactly one batch in flight; a window of 1
-		// also forces the server's ack cadence to every batch, which the
-		// per-batch ack wait depends on.
-		c.opts.Window = 1
-	}
 	c.cond = sync.NewCond(&c.mu)
-	c.setTarget(0)
 
 	c.mu.Lock()
 	err := c.connectLocked()
@@ -281,14 +257,9 @@ func Dial(opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p := c.opts.BatchPolicy; p != nil {
-		c.setTarget(p.Target())
-	}
-	if !c.opts.Sync {
-		c.outbox = make(chan sentFrame, c.opts.Window)
-		c.sendDone = make(chan struct{})
-		go c.sender()
-	}
+	c.outbox = make(chan sentFrame, c.opts.Window)
+	c.sendDone = make(chan struct{})
+	go c.sender()
 	return c, nil
 }
 
@@ -469,11 +440,11 @@ func (c *Client) markDeadLocked() {
 }
 
 // trackRTT reports whether send times must be stamped: the ack-RTT
-// histogram, the adaptive batch policy and root-span durations all
+// histogram, the back-pressure observer and root-span durations all
 // consume them.
 func (c *Client) trackRTT() bool {
-	return c.met.ackRTT != nil || c.opts.BatchPolicy != nil ||
-		c.opts.Backpressure != nil || (c.traced && c.opts.Tracer != nil)
+	return c.met.ackRTT != nil || c.opts.Backpressure != nil ||
+		(c.traced && c.opts.Tracer != nil)
 }
 
 func (c *Client) pruneAckedLocked() {
@@ -484,7 +455,6 @@ func (c *Client) pruneAckedLocked() {
 		if !sf.sentAt.IsZero() {
 			rtt := time.Since(sf.sentAt)
 			c.met.ackRTT.ObserveTraced(uint64(rtt.Nanoseconds()), sf.trace)
-			c.opts.BatchPolicy.ObserveRTT(rtt)
 			if o := c.opts.Backpressure; o != nil {
 				o.ObserveRTT(rtt)
 			}
@@ -556,32 +526,22 @@ func (c *Client) receive(conn net.Conn, gen int) {
 
 // ---- send path ----
 
-// setTarget sets the flush threshold from a batch policy target: clamped
-// to [1, event.DefaultBatchSize], with 0 meaning the fixed default.
-func (c *Client) setTarget(t int) {
-	if t <= 0 || t > event.DefaultBatchSize {
-		t = event.DefaultBatchSize
-	}
-	c.target = t
-}
-
 // push encodes one event's record into the current batch, numbering it,
-// and ships the batch once it reaches the flush threshold.
+// and ships the batch once it is full.
 func (c *Client) push(r event.Rec) {
 	c.seq++
 	r.Seq = c.seq
 	c.col.Append(r)
-	if c.col.Len() >= c.target {
+	if c.col.Len() >= event.DefaultBatchSize {
 		c.flushBatch()
 	}
 }
 
 // flushBatch frames the current batch into a recycled buffer, empties the
-// encoder, and hands the frame to the sender (async) or sends it inline
-// and waits for its ack (sync). It also services the adaptive policy:
-// outbox occupancy is observed at ship time, and the next flush threshold
-// is refreshed from the policy target. The encode histogram times the
-// frame assembly only; the events were encoded as they arrived.
+// encoder, and hands the frame to the sender, reporting the outbox
+// occupancy at ship time to the back-pressure observer. The encode
+// histogram times the frame assembly only; the events were encoded as they
+// arrived.
 func (c *Client) flushBatch() {
 	n := c.col.Len()
 	if n == 0 {
@@ -621,37 +581,24 @@ func (c *Client) flushBatch() {
 	c.col.Reset()
 	c.met.rawBytes.Add(uint64(n) * wire.RecSize)
 	c.met.payload.Add(uint64(len(frame) - wire.HeaderSize))
-	sf := sentFrame{seq: seq, data: frame, events: n, trace: trace, span: span}
-	if c.opts.Sync {
-		c.send(sf, true)
-		if p := c.opts.BatchPolicy; p != nil {
-			c.setTarget(p.Target()) // RTT observations arrived with the ack
-		}
-		return
-	}
-	if p := c.opts.BatchPolicy; p != nil {
-		// Producer's view of the consumer queue at ship time: an empty
-		// outbox means the sender is keeping up (favor latency), a full
-		// one means the window or the wire is the bottleneck (favor
-		// throughput). The receiver goroutine feeds ack RTTs concurrently;
-		// Target is read here, on the event thread, only.
-		p.ObserveQueue(len(c.outbox), cap(c.outbox))
-		c.setTarget(p.Target())
-	}
 	if o := c.opts.Backpressure; o != nil {
+		// The producer's view of the consumer queue at ship time: an empty
+		// outbox means the sender is keeping up, a full one means the
+		// window or the wire is the bottleneck.
 		o.ObserveQueue(len(c.outbox), cap(c.outbox))
 	}
-	c.outbox <- sf // bounded; the sender always drains, even after errors
+	// Bounded; the sender always drains, even after errors.
+	c.outbox <- sentFrame{seq: seq, data: frame, events: n, trace: trace, span: span}
 }
 
-// sender is the async-mode writer goroutine.
+// sender is the writer goroutine.
 func (c *Client) sender() {
 	for sf := range c.outbox {
 		if sf.flush {
 			c.sendFlush(sf.seq)
 			continue
 		}
-		c.send(sf, false)
+		c.send(sf)
 	}
 	close(c.sendDone)
 }
@@ -684,10 +631,8 @@ func (c *Client) sendFlush(target uint64) {
 }
 
 // send writes one frame, respecting the in-flight window, reconnecting as
-// needed; with waitAck it also blocks until the frame is acknowledged
-// (strict ordering). Fatal errors are recorded in c.err and the frame is
-// dropped.
-func (c *Client) send(sf sentFrame, waitAck bool) {
+// needed. Fatal errors are recorded in c.err and the frame is dropped.
+func (c *Client) send(sf sentFrame) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.err == nil {
@@ -714,19 +659,7 @@ func (c *Client) send(sf sentFrame, waitAck bool) {
 		c.stats.PayloadBytes += uint64(len(sf.data) - wire.HeaderSize)
 		c.met.batches.Inc()
 		c.met.events.Add(uint64(sf.events))
-		break
-	}
-	if !waitAck {
 		return
-	}
-	for c.err == nil && c.acked < sf.seq {
-		if c.connDead || c.conn == nil {
-			if c.connectLocked() != nil {
-				return // reconnect replays unacked frames, including sf
-			}
-			continue
-		}
-		c.cond.Wait()
 	}
 }
 
@@ -821,10 +754,8 @@ func (c *Client) Flush() error {
 	c.mu.Lock()
 	target := c.batchSeq
 	c.mu.Unlock()
-	if c.opts.Sync || target == 0 {
-		// Sync mode acks every batch inline, so the stream is already
-		// drained; with no batches shipped there is nothing to wait for.
-		return c.Err()
+	if target == 0 {
+		return c.Err() // no batches shipped: nothing to wait for
 	}
 	c.outbox <- sentFrame{seq: target, flush: true}
 	c.mu.Lock()
@@ -842,10 +773,8 @@ func (c *Client) Flush() error {
 // the first fatal transport error.
 func (c *Client) Close() (*wire.Report, error) {
 	c.flushBatch() // ship the partial batch
-	if !c.opts.Sync {
-		close(c.outbox)
-		<-c.sendDone
-	}
+	close(c.outbox)
+	<-c.sendDone
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -112,25 +112,6 @@ func TestAsyncStreaming(t *testing.T) {
 	}
 }
 
-func TestSyncMode(t *testing.T) {
-	_, addr := startServer(t, server.Options{})
-	rep, ref, cl := runRemote(t,
-		Options{Addr: addr, Sync: true, Hello: wire.Hello{Workers: 2}},
-		"pbzip2", detector.Word)
-	checkEquivalent(t, rep, ref)
-	// Strict ordering keeps exactly one batch in flight: everything the
-	// client sent must be acknowledged by the time Close returns.
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.window != 1 {
-		t.Fatalf("sync mode negotiated window %d, want 1", cl.window)
-	}
-	if len(cl.unacked) != 0 || cl.acked != cl.batchSeq {
-		t.Fatalf("unacked frames after sync close: %d (acked %d of %d)",
-			len(cl.unacked), cl.acked, cl.batchSeq)
-	}
-}
-
 // TestReconnectResume kills the client's TCP connection mid-stream and
 // checks the session resumes: the final report must still match the
 // in-process run exactly (no lost or duplicated events).
@@ -260,6 +241,9 @@ func (d *dropper) maybeDrop() {
 // server must accept every replayed frame — its CRC and sequence checks
 // reject nothing; its only refusals are resumes that raced the old
 // connection's teardown — and the report must equal an undropped run's.
+// The retry budget outlasts that teardown: under load (the race detector,
+// other test binaries on the same cores) it takes longer than the five
+// attempts and ~15 ms of backoff the defaults allow at a 1 ms base.
 func TestReconnectResumeRecycledFrames(t *testing.T) {
 	const window = 4
 	srv, addr := startServer(t, server.Options{SessionLinger: 5 * time.Second})
@@ -273,6 +257,8 @@ func TestReconnectResumeRecycledFrames(t *testing.T) {
 		Hello:       wire.Hello{Granularity: uint8(detector.Dynamic), Workers: 1},
 		Window:      window,
 		BackoffBase: time.Millisecond,
+		BackoffMax:  100 * time.Millisecond,
+		MaxAttempts: 25, // ~1.8 s of backoff in all
 		Logf: func(_ string, args ...any) {
 			for _, a := range args {
 				var re *RemoteError
@@ -365,7 +351,6 @@ func TestPermanentRejectionIsImmediate(t *testing.T) {
 func TestFrameRecycleZeroAlloc(t *testing.T) {
 	const window = 4
 	c := &Client{opts: Options{Window: window}.withDefaults(), outbox: make(chan sentFrame, 1)}
-	c.setTarget(0)
 	ship := func() {
 		for i := 0; i < event.DefaultBatchSize; i++ {
 			c.Write(1, 0x1000+uint64(i%512)*8, 8, event.PC(i%7))
@@ -446,7 +431,6 @@ func TestFramesMatchBatchEncoding(t *testing.T) {
 	enc.Close()
 
 	c := &Client{opts: Options{}.withDefaults(), outbox: make(chan sentFrame, len(want))}
-	c.setTarget(0)
 	drive(c)
 	c.flushBatch()
 	close(c.outbox)

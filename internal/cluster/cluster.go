@@ -46,12 +46,6 @@ type Options struct {
 	Hello wire.Hello
 	// Window is the requested per-member in-flight batch window.
 	Window int
-	// Sync selects strict-ordering transport on every member connection.
-	Sync bool
-	// NewBatchPolicy, when non-nil, is called once per member connection
-	// to build its adaptive batch policy. A policy holds single-connection
-	// state (RTT and queue observations), so members cannot share one.
-	NewBatchPolicy func() *event.BatchPolicy
 
 	// Backpressure, when non-nil, is shared by every member connection:
 	// each member client feeds its outbox-occupancy and ack-RTT
@@ -188,11 +182,10 @@ func (s *Sink) logf(format string, args ...any) {
 
 // clientOptions builds the per-member transport configuration.
 func (s *Sink) clientOptions(addr string) client.Options {
-	co := client.Options{
+	return client.Options{
 		Addr:          addr,
 		Hello:         s.opts.Hello,
 		Window:        s.opts.Window,
-		Sync:          s.opts.Sync,
 		DialTimeout:   s.opts.DialTimeout,
 		ReportTimeout: s.opts.ReportTimeout,
 		Logf:          s.opts.Logf,
@@ -201,10 +194,6 @@ func (s *Sink) clientOptions(addr string) client.Options {
 		Tracer:        s.opts.Tracer,
 		Backpressure:  s.opts.Backpressure,
 	}
-	if s.opts.NewBatchPolicy != nil {
-		co.BatchPolicy = s.opts.NewBatchPolicy()
-	}
-	return co
 }
 
 // Members returns the current member addresses (grows by one after a

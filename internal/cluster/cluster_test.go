@@ -156,18 +156,20 @@ func TestMemberDiesMidStream(t *testing.T) {
 	s, err := Dial(Options{
 		Members: []string{addr0, addr1},
 		Hello:   wire.Hello{Workers: 1},
-		Sync:    true, // per-batch acks, so the watermark advances deterministically
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Three full batches of broadcast sync events: every member applies
-	// and (sync mode) acks 3 batch frames.
+	// and, once flushed, acks 3 batch frames, so the watermark is exact.
 	for i := 0; i < 3*event.DefaultBatchSize/2; i++ {
 		s.Acquire(1, 7)
 		s.Release(1, 7)
 	}
 	for _, m := range s.members {
+		if err := m.cl.Flush(); err != nil {
+			t.Fatalf("member %s: Flush: %v", m.addr, err)
+		}
 		if got := m.cl.LastAcked(); got != 3 {
 			t.Fatalf("member %s acked %d batches before kill, want 3", m.addr, got)
 		}

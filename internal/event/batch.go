@@ -258,29 +258,12 @@ type Encoder struct {
 	// from the pool. Must be non-nil.
 	Flush func(*Batch)
 
-	// Target, when positive, is the flush threshold in records. It is
-	// clamped to [1, DefaultBatchSize] so an adaptive policy can never
-	// outgrow the pooled batch capacity; zero means the fixed
-	// DefaultBatchSize. The Flush callback is the natural place to update
-	// it (e.g. from BatchPolicy.Target) — the Encoder reads it on the
-	// event thread only.
-	Target int
-
 	cur *Batch
 	seq uint64
 }
 
-// threshold returns the effective flush threshold.
-func (e *Encoder) threshold() int {
-	t := e.Target
-	if t <= 0 || t > DefaultBatchSize {
-		return DefaultBatchSize
-	}
-	return t
-}
-
 // push appends a record, stamping the next sequence number, and flushes
-// when the batch reaches the flush threshold.
+// when the batch is full.
 func (e *Encoder) push(r Rec) {
 	if e.cur == nil {
 		e.cur = GetBatch()
@@ -288,7 +271,7 @@ func (e *Encoder) push(r Rec) {
 	e.seq++
 	r.Seq = e.seq
 	e.cur.Append(r)
-	if len(e.cur.Recs) >= e.threshold() {
+	if e.cur.Full() {
 		e.Flush(e.cur)
 		e.cur = nil
 	}

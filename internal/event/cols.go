@@ -2,8 +2,8 @@
 // batch. The wire codec's v2 payloads are already columnar on the wire
 // (internal/wire AppendColumnar); Cols lets a decoded batch stay columnar
 // all the way to the detector — the server routes over the addr column
-// and ships column segments through the pipeline ring without ever
-// materializing per-record Rec structs. Column-major apply also exposes
+// and ships column segments through the pipeline's worker queues without
+// ever materializing per-record Rec structs. Column-major apply also exposes
 // run structure (consecutive identical accesses) that the detector's
 // batch apply collapses into one shadow lookup plus a repeat count.
 package event

@@ -77,18 +77,9 @@ type Options struct {
 	// Deeper queues absorb bursts; the queue bounds memory because
 	// batches are fixed-size.
 	ChannelDepth int
-	// BatchPolicy, when non-nil, adapts the router's batch flush
-	// threshold to worker-queue back-pressure (see event.BatchPolicy):
-	// small batches while workers are starved, full batches while they
-	// are behind. Nil ships fixed event.DefaultBatchSize batches.
-	// Batch sizing never affects results — reports merge by sequence
-	// number — only the latency/throughput trade.
-	BatchPolicy *event.BatchPolicy
-	// Backpressure, when non-nil, receives the same ship-time
-	// queue-occupancy observations as BatchPolicy — the hook the budgeted
-	// sampling lane's feedback controller (sampling.Controller) plugs
-	// into. Independent of BatchPolicy: either, both or neither may be
-	// set.
+	// Backpressure, when non-nil, receives the worker-queue occupancy at
+	// each batch ship — the hook the budgeted sampling lane's feedback
+	// controller (sampling.Controller) plugs into.
 	Backpressure event.BackpressureObserver
 	// Telemetry, when non-nil, receives the pipeline instrument families:
 	// per-shard applied-event counters (pipeline_shard_events_total), batch
@@ -307,7 +298,6 @@ type Pipeline struct {
 	// first, so at most one lane has a pending per worker at any time and
 	// stream order survives lane interleaving.
 	pendingCols []*event.Cols
-	policy      *event.BatchPolicy
 	obs         event.BackpressureObserver
 	wg          sync.WaitGroup
 
@@ -354,7 +344,6 @@ func New(opts Options) *Pipeline {
 		workers:     make([]*worker, n),
 		pending:     make([]*event.Batch, n),
 		pendingCols: make([]*event.Cols, n),
-		policy:      opts.BatchPolicy,
 		obs:         opts.Backpressure,
 	}
 	reg := opts.Telemetry
@@ -401,8 +390,6 @@ func New(opts Options) *Pipeline {
 			p.Occupancy)
 		reg.GaugeFunc("pipeline_shard_imbalance", "Max/mean ratio of per-shard applied events (1 = perfectly balanced).",
 			p.shardImbalance)
-		reg.GaugeFunc("pipeline_batch_target", "Adaptive batch flush threshold in records (DefaultBatchSize when fixed).",
-			func() float64 { return float64(p.policy.Target()) })
 	}
 	return p
 }
@@ -427,8 +414,8 @@ func (p *Pipeline) shardImbalance() float64 {
 }
 
 // ship sends a full or flushed batch to worker w, observing the router's
-// blocking time when instrumented and feeding the adaptive policy the
-// queue occupancy it saw at ship time.
+// blocking time when instrumented and feeding the back-pressure observer
+// the queue occupancy it saw at ship time.
 func (p *Pipeline) ship(w int, it item) {
 	if it.b != nil {
 		it.b.Trace, it.b.Span = p.trace, p.span
@@ -436,9 +423,6 @@ func (p *Pipeline) ship(w int, it item) {
 		it.c.Trace, it.c.Span = p.trace, p.span
 	}
 	q := p.workers[w].q
-	if p.policy != nil {
-		p.policy.ObserveQueue(len(q), cap(q))
-	}
 	if p.obs != nil {
 		p.obs.ObserveQueue(len(q), cap(q))
 	}
@@ -493,8 +477,7 @@ func (p *Pipeline) Occupancy() float64 {
 }
 
 // push appends a record to worker w's pending batch, shipping the batch
-// when it reaches the flush threshold (the adaptive policy's current
-// target, or full transport capacity when no policy is set).
+// once it is full.
 func (p *Pipeline) push(w int, r event.Rec) {
 	if c := p.pendingCols[w]; c != nil {
 		// Lane switch: ship the columnar pending first so the worker
@@ -508,14 +491,7 @@ func (p *Pipeline) push(w int, r event.Rec) {
 		p.pending[w] = b
 	}
 	b.Append(r)
-	if p.policy == nil {
-		if b.Full() {
-			p.ship(w, item{b: b})
-			p.pending[w] = nil
-		}
-		return
-	}
-	if len(b.Recs) >= p.policy.Target() {
+	if b.Full() {
 		p.ship(w, item{b: b})
 		p.pending[w] = nil
 	}
@@ -534,11 +510,7 @@ func (p *Pipeline) pushCols(w int, r event.Rec) {
 		p.pendingCols[w] = c
 	}
 	c.Append(r)
-	threshold := event.DefaultBatchSize
-	if p.policy != nil {
-		threshold = p.policy.Target()
-	}
-	if c.Len() >= threshold {
+	if c.Len() >= event.DefaultBatchSize {
 		p.ship(w, item{c: c})
 		p.pendingCols[w] = nil
 	}

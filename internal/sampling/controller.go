@@ -1,7 +1,7 @@
 // The feedback controller: turns the transport back-pressure signals the
-// adaptive batch policy already measures (worker-queue / outbox occupancy
-// and ack RTT) into a global sampling rate that converges on the
-// user-set overhead budget (race.Options.Budget).
+// producers already measure (worker-queue / outbox occupancy and ack RTT)
+// into a global sampling rate that converges on the user-set overhead
+// budget (race.Options.Budget).
 package sampling
 
 import (
@@ -12,7 +12,7 @@ import (
 // Controller trades the sampler's global rate against observed transport
 // back-pressure. It implements event.BackpressureObserver, so the local
 // pipeline, the remote client and every cluster member can feed it the
-// same signals they feed event.BatchPolicy:
+// back-pressure signals they measure:
 //
 //   - Pressure (a worker queue at or past half capacity, or an ack RTT
 //     blown past 4× the observed floor) halves the rate — multiplicative
@@ -98,8 +98,7 @@ func (c *Controller) ObserveQueue(queued, capacity int) {
 }
 
 // ObserveRTT consumes one ack round-trip: the minimum observed RTT is the
-// floor, 4× over it is pressure, back within 2× is clear (the same
-// thresholds event.BatchPolicy uses for batch sizing).
+// floor, 4× over it is pressure, back within 2× is clear.
 func (c *Controller) ObserveRTT(rtt time.Duration) {
 	if rtt <= 0 {
 		return

@@ -101,13 +101,12 @@ func NewRunner(cfg Config) *Runner {
 func (r *Runner) Specs() []workloads.Spec { return r.specs }
 
 func optsKey(o race.Options) string {
-	return fmt.Sprintf("%v/%v/nis=%v/nish=%v/wgr=%v/rs=%d/mem=%d/to=%v/w=%d/me=%d/rem=%s/rsync=%v",
+	return fmt.Sprintf("%v/%v/nis=%v/nish=%v/wgr=%v/rs=%d/mem=%d/to=%v/w=%d/me=%d/rem=%s",
 		o.Tool, o.Granularity, o.NoInitState, o.NoInitSharing,
 		o.WriteGuidedReads, o.ReshareInterval, o.MemLimitBytes, o.Timeout,
-		o.Workers, o.MaxEvents, o.Remote, o.RemoteSync) +
-		fmt.Sprintf("/bp=%s/clus=%s/bud=%g/el=%v",
-			o.BatchPolicy, strings.Join(o.Cluster, ","),
-			o.Budget, o.Elide)
+		o.Workers, o.MaxEvents, o.Remote) +
+		fmt.Sprintf("/clus=%s/bud=%g/el=%v",
+			strings.Join(o.Cluster, ","), o.Budget, o.Elide)
 }
 
 // bestDuration returns the minimum of ds: for a deterministic CPU-bound

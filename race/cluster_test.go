@@ -1,6 +1,7 @@
 package race
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -31,7 +32,6 @@ func TestClusterEquivalence(t *testing.T) {
 	for _, spec := range specs {
 		for _, g := range grans {
 			local := Run(spec.Program(), Options{Granularity: g, Seed: 42})
-			want := sortRaces(local.Races)
 			for _, n := range []int{1, 2, 4} {
 				clustered, err := RunE(spec.Program(), Options{
 					Granularity: g, Seed: 42, Workers: 2, Cluster: servers[:n],
@@ -39,23 +39,7 @@ func TestClusterEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/n=%d: cluster run: %v", spec.Name, g, n, err)
 				}
-				if local.Run.Accesses != clustered.Run.Accesses {
-					t.Errorf("%s/%s/n=%d: Run.Accesses %d (local) vs %d (cluster)",
-						spec.Name, g, n, local.Run.Accesses, clustered.Run.Accesses)
-				}
-				if local.Detector.Accesses != clustered.Detector.Accesses {
-					t.Errorf("%s/%s/n=%d: Detector.Accesses %d (local) vs %d (cluster)",
-						spec.Name, g, n, local.Detector.Accesses, clustered.Detector.Accesses)
-				}
-				if local.Detector.SameEpoch != clustered.Detector.SameEpoch {
-					t.Errorf("%s/%s/n=%d: Detector.SameEpoch %d (local) vs %d (cluster)",
-						spec.Name, g, n, local.Detector.SameEpoch, clustered.Detector.SameEpoch)
-				}
-				got := sortRaces(clustered.Races)
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s/%s/n=%d: race sets differ\nlocal (%d): %v\ncluster (%d): %v",
-						spec.Name, g, n, len(want), want, len(got), got)
-				}
+				assertSameReport(t, fmt.Sprintf("%s/%s/n=%d", spec.Name, g, n), local, clustered)
 			}
 		}
 	}

@@ -124,7 +124,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if opts.Telemetry == nil {
 		t.Fatal("startObservability did not install a registry for MetricsAddr")
 	}
-	runLocal(s.Program(), opts)
+	if _, err := runLocal(s.Name, programSource(s.Program(), opts), opts); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", obs.ln.Addr()))
 	if err != nil {

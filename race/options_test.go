@@ -21,14 +21,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"eraser", Options{Tool: Eraser}, ""},
 		{"multirace", Options{Tool: MultiRace}, ""},
 		{"remote-fasttrack", Options{Remote: "localhost:7474"}, ""},
-		{"remote-sync", Options{Remote: "localhost:7474", RemoteSync: true}, ""},
 		{"limits", Options{MemLimitBytes: 1 << 30, Timeout: time.Second, Quantum: 100}, ""},
 		{"stats-interval", Options{StatsInterval: time.Second}, ""},
 		{"metrics-addr", Options{MetricsAddr: "127.0.0.1:0", Workers: 2}, ""},
 		{"metrics-addr-remote-async", Options{MetricsAddr: "127.0.0.1:0", Remote: "localhost:7474"}, ""},
 		{"cluster", Options{Cluster: []string{"localhost:7474", "localhost:7475"}}, ""},
 		{"cluster-single", Options{Cluster: []string{"127.0.0.1:7474"}}, ""},
-		{"cluster-sync", Options{Cluster: []string{"localhost:7474"}, RemoteSync: true}, ""},
 		{"cluster-migration", Options{
 			Cluster:          []string{"localhost:7474", "localhost:7475"},
 			ClusterMigration: &ClusterMigration{Slot: -1, To: "localhost:7476", AfterEvents: 100},
@@ -62,11 +60,7 @@ func TestOptionsValidate(t *testing.T) {
 			Cluster:          []string{"localhost:7474"},
 			ClusterMigration: &ClusterMigration{Slot: 64, To: "localhost:7476"},
 		}, "ClusterMigration"},
-		{"sync-without-remote", Options{RemoteSync: true}, "RemoteSync"},
 		{"negative-stats-interval", Options{StatsInterval: -time.Second}, "StatsInterval"},
-		{"metrics-addr-with-sync", Options{
-			MetricsAddr: "127.0.0.1:0", Remote: "localhost:7474", RemoteSync: true,
-		}, "MetricsAddr"},
 		{"budget-nan", Options{Budget: math.NaN()}, "Budget"},
 		{"budget-nan-eraser", Options{Tool: Eraser, Budget: math.NaN()}, "Budget"},
 		{"trace-sample-nan", Options{TraceSample: math.NaN()}, "TraceSample"},

@@ -1,7 +1,8 @@
 // Package race is the public API of the reproduction: it runs a virtual
 // multithreaded program (built with the engine API re-exported here) under
 // one of five data race detectors and returns a unified report with the
-// detected races, timing, and the detector's memory breakdown.
+// detected races, timing, and the detector's memory breakdown. Replay
+// runs a recorded event stream through the same wiring.
 //
 // The detectors are the systems the paper builds or measures:
 //
@@ -192,17 +193,6 @@ type Options struct {
 	// replay into a fresh session on the target) — the rebalance path,
 	// exposed for tests and drills.
 	ClusterMigration *ClusterMigration
-	// RemoteSync selects the client's strict-ordering fallback: each event
-	// batch is written and acknowledged before the producer continues,
-	// instead of streaming asynchronously behind a bounded window. Applies
-	// to Remote and Cluster sessions.
-	RemoteSync bool
-	// BatchPolicy selects transport batch sizing: "" or "fixed" ships
-	// full event.DefaultBatchSize batches; "adaptive" sizes batches from
-	// observed back-pressure (worker-queue occupancy locally; outbox
-	// occupancy and ack RTT on the Remote path). Purely a
-	// latency/throughput trade — reports are identical.
-	BatchPolicy string
 
 	// Budget enables the always-on sampling lane: a fraction in (0, 1]
 	// of the detection work the run may spend. A LiteRace-style
@@ -264,10 +254,7 @@ type Options struct {
 	Tracer *telemetry.Tracer
 	// MetricsAddr serves the run's telemetry over HTTP (/metrics
 	// Prometheus text, /debug/vars JSON, /debug/pprof/*) on this address
-	// for the duration of the run. Empty = no endpoint. Incompatible with
-	// RemoteSync (the synchronous client blocks the producer; a live
-	// endpoint would mostly show an idle detector — reject rather than
-	// mislead).
+	// for the duration of the run. Empty = no endpoint.
 	MetricsAddr string
 	// StatsInterval prints a one-line progress report (accesses,
 	// same-epoch hits, races, queue depth) to StatsWriter every interval.
@@ -349,14 +336,6 @@ func (o Options) Validate() error {
 			return &OptionsError{"ClusterMigration", fmt.Sprintf("slot %d out of range [0,%d) (or -1 for auto)", o.ClusterMigration.Slot, cluster.Slots)}
 		}
 	}
-	if o.RemoteSync && o.Remote == "" && len(o.Cluster) == 0 {
-		return &OptionsError{"RemoteSync", "requires Remote or Cluster to be set"}
-	}
-	switch o.BatchPolicy {
-	case "", "fixed", "adaptive":
-	default:
-		return &OptionsError{"BatchPolicy", fmt.Sprintf("unknown batch policy %q (want fixed or adaptive)", o.BatchPolicy)}
-	}
 	if !(o.Budget >= 0 && o.Budget <= 1) { // negated so that NaN fails
 		return &OptionsError{"Budget", fmt.Sprintf("sampling budget %v outside (0,1] (0 disables)", o.Budget)}
 	}
@@ -374,9 +353,6 @@ func (o Options) Validate() error {
 	}
 	if o.StatsInterval < 0 {
 		return &OptionsError{"StatsInterval", fmt.Sprintf("negative interval %v", o.StatsInterval)}
-	}
-	if o.MetricsAddr != "" && o.RemoteSync {
-		return &OptionsError{"MetricsAddr", "incompatible with RemoteSync (synchronous streaming leaves no live detector to observe)"}
 	}
 	return nil
 }
@@ -519,15 +495,6 @@ func (o Options) engineOptions() sim.Options {
 	return so
 }
 
-// batchPolicy returns a fresh adaptive policy when requested, else nil
-// (fixed-size batches).
-func (o Options) batchPolicy() *event.BatchPolicy {
-	if o.BatchPolicy == "adaptive" {
-		return new(event.BatchPolicy)
-	}
-	return nil
-}
-
 // samplerOptions maps Budget onto the sampling front end's configuration.
 func (o Options) samplerOptions() sampling.Options {
 	return sampling.Options{
@@ -550,6 +517,50 @@ func (o Options) samplingController() *sampling.Controller {
 		return nil
 	}
 	return sampling.NewController(o.Budget)
+}
+
+// hello is the detection configuration a Remote or Cluster session
+// negotiates with its servers.
+func (o Options) hello() wire.Hello {
+	return wire.Hello{
+		Granularity:      uint8(o.Granularity),
+		Workers:          o.Workers,
+		NoInitState:      o.NoInitState,
+		NoInitSharing:    o.NoInitSharing,
+		WriteGuidedReads: o.WriteGuidedReads,
+		ReadReset:        o.ReadReset,
+		ReshareInterval:  o.ReshareInterval,
+		Provenance:       o.Provenance,
+	}
+}
+
+// front wraps sink in the run's front end: the budgeted sampler (Budget),
+// bound to ctrl when the transport steers it, and outermost the
+// same-epoch filter (Elide), so the sampler and the transport only pay
+// for accesses that survived elision. fill copies the front end's counts
+// into a report whose detector statistics are already filled.
+func (o Options) front(sink event.Sink, ctrl *sampling.Controller) (_ event.Sink, fill func(*Report)) {
+	var smp *sampling.Detector
+	if o.Budget > 0 {
+		smp = sampling.New(sink, o.samplerOptions())
+		if ctrl != nil {
+			ctrl.Bind(smp)
+		}
+		sink = smp
+	}
+	var el *event.Elider
+	if o.Elide {
+		el = event.NewElider(sink, event.EliderOptions{Telemetry: o.Telemetry})
+		sink = el
+	}
+	return sink, func(r *Report) {
+		if smp != nil {
+			r.Detector.SampledForwarded, r.Detector.SampledSkipped = smp.Counts()
+		}
+		if el != nil {
+			r.Detector.Elided = el.Elided()
+		}
+	}
 }
 
 // fillFastTrack maps FastTrack detector output into the unified report; the
@@ -605,6 +616,34 @@ func Run(p Program, opts Options) Report {
 // refused and not recovered, server-side rejection) are reported instead
 // of panicking.
 func RunE(p Program, opts Options) (Report, error) {
+	return run(p.Name, programSource(p, opts), opts)
+}
+
+// Replay runs the event stream feed emits (a recorded trace, say) through
+// the topology opts selects: the same validation, observability
+// side-cars, front end, detectors and transports as RunE, so a replayed
+// stream yields the report of the live run it was recorded from. feed
+// emits the whole stream into the Sink it is handed and returns. The
+// engine options (Seed, Quantum, MaxEvents, Timeout) do not apply, and
+// Report.Run stays zero. An error from feed is returned after the
+// detection workers have drained or the Remote or Cluster session has
+// closed, so none of them outlives the call.
+func Replay(name string, feed func(Sink) error, opts Options) (Report, error) {
+	return run(name, func(s event.Sink) (RunStats, error) { return RunStats{}, feed(s) }, opts)
+}
+
+// source emits one run's event stream into the detection sink and returns
+// the analyzed program's own statistics.
+type source func(event.Sink) (RunStats, error)
+
+// programSource is the source of a live run: p executed by the engine.
+func programSource(p Program, opts Options) source {
+	return func(s event.Sink) (RunStats, error) { return sim.Run(p, s, opts.engineOptions()), nil }
+}
+
+// run validates opts, starts the observability side-cars and runs src
+// under the topology opts selects.
+func run(name string, src source, opts Options) (Report, error) {
 	if err := opts.Validate(); err != nil {
 		return Report{}, err
 	}
@@ -613,40 +652,27 @@ func RunE(p Program, opts Options) (Report, error) {
 		return Report{}, err
 	}
 	defer obs.stop()
-	if opts.Remote != "" {
-		return runRemote(p, opts)
+	switch {
+	case opts.Remote != "":
+		return runRemote(name, src, opts)
+	case len(opts.Cluster) > 0:
+		return runCluster(name, src, opts)
 	}
-	if len(opts.Cluster) > 0 {
-		return runCluster(p, opts)
-	}
-	return runLocal(p, opts), nil
+	return runLocal(name, src, opts)
 }
 
-// runRemote streams the program's events to a racedetectd and fills the
-// report from the service's end-of-session reply. The timed window covers
-// the instrumented run plus the flush-and-report exchange, mirroring the
-// local pipeline mode where drain time is part of Elapsed.
-func runRemote(p Program, opts Options) (Report, error) {
-	rep := Report{Program: p.Name, Tool: opts.Tool, Granularity: opts.Granularity}
+// runRemote streams the events to a racedetectd and fills the report from
+// the service's end-of-session reply.
+func runRemote(name string, src source, opts Options) (Report, error) {
+	rep := Report{Program: name, Tool: opts.Tool, Granularity: opts.Granularity}
 	endDial := opts.Tracer.Span("dial", map[string]any{"addr": opts.Remote})
 	ctrl := opts.samplingController()
 	clOpts := client.Options{
 		Addr:        opts.Remote,
-		Sync:        opts.RemoteSync,
+		Hello:       opts.hello(),
 		Telemetry:   opts.Telemetry,
-		BatchPolicy: opts.batchPolicy(),
 		TraceSample: opts.TraceSample,
 		Tracer:      opts.Tracer,
-		Hello: wire.Hello{
-			Granularity:      uint8(opts.Granularity),
-			Workers:          opts.Workers,
-			NoInitState:      opts.NoInitState,
-			NoInitSharing:    opts.NoInitSharing,
-			WriteGuidedReads: opts.WriteGuidedReads,
-			ReadReset:        opts.ReadReset,
-			ReshareInterval:  opts.ReshareInterval,
-			Provenance:       opts.Provenance,
-		},
 	}
 	if ctrl != nil {
 		clOpts.Backpressure = ctrl
@@ -656,49 +682,48 @@ func runRemote(p Program, opts Options) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	var sink event.Sink = cl
-	var smp *sampling.Detector
-	if opts.Budget > 0 {
-		smp = sampling.New(sink, opts.samplerOptions())
-		if ctrl != nil {
-			ctrl.Bind(smp)
-		}
-		sink = smp
-	}
-	var el *event.Elider
-	if opts.Elide {
-		// Outermost: repeats are dropped before serialization, so the wire
-		// never carries them.
-		el = event.NewElider(sink, event.EliderOptions{Telemetry: opts.Telemetry})
-		sink = el
-	}
+	return stream(rep, src, opts, cl, ctrl)
+}
+
+// session is the producer end of a Remote or Cluster detection session.
+type session interface {
+	event.Sink
+	Close() (*wire.Report, error)
+}
+
+// stream runs src into a dialed session behind the run's front end and
+// fills rep from the session's end-of-stream report. The timed window
+// covers the run plus the flush-and-report exchange, mirroring the local
+// pipeline mode where drain time is part of Elapsed. The session is closed
+// even when src fails.
+func stream(rep Report, src source, opts Options, s session, ctrl *sampling.Controller) (Report, error) {
+	sink, fill := opts.front(s, ctrl)
 	start := time.Now()
-	endExec := opts.Tracer.Span("execute", map[string]any{"program": p.Name})
-	rep.Run = sim.Run(p, sink, opts.engineOptions())
+	endExec := opts.Tracer.Span("execute", map[string]any{"program": rep.Program})
+	run, err := src(sink)
 	endExec()
 	endReport := opts.Tracer.Span("report")
-	wrep, err := cl.Close()
+	wrep, closeErr := s.Close()
 	endReport()
+	rep.Run = run
 	rep.Elapsed = time.Since(start)
 	rep.TimedOut = rep.Run.TimedOut
+	if err == nil {
+		err = closeErr
+	}
 	if err != nil {
 		return rep, err
 	}
 	fillFastTrack(&rep, wrep.DetectorStats(), wrep.DetectorRaces(), wrep.DetectorProvs())
 	rep.Detector.ShedRecords = wrep.Stats.ShedRecords
-	if smp != nil {
-		rep.Detector.SampledForwarded, rep.Detector.SampledSkipped = smp.Counts()
-	}
-	if el != nil {
-		rep.Detector.Elided = el.Elided()
-	}
+	fill(&rep)
 	return rep, nil
 }
 
-// runLocal executes p under an in-process detector.
-func runLocal(p Program, opts Options) Report {
-	simOpts := opts.engineOptions()
-	rep := Report{Program: p.Name, Tool: opts.Tool, Granularity: opts.Granularity}
+// runLocal runs src under an in-process detector.
+func runLocal(name string, src source, opts Options) (Report, error) {
+	rep := Report{Program: name, Tool: opts.Tool, Granularity: opts.Granularity}
+	ctrl := opts.samplingController()
 
 	var sink event.Sink
 	var collect func(*Report)
@@ -714,14 +739,12 @@ func runLocal(p Program, opts Options) Report {
 			ReadReset:        opts.ReadReset,
 			Provenance:       opts.Provenance,
 		}
-		ctrl := opts.samplingController()
 		if opts.Workers > 0 {
 			plOpts := pipeline.Options{
-				Workers:     opts.Workers,
-				Detector:    cfg,
-				Telemetry:   opts.Telemetry,
-				BatchPolicy: opts.batchPolicy(),
-				Tracer:      opts.Tracer,
+				Workers:   opts.Workers,
+				Detector:  cfg,
+				Telemetry: opts.Telemetry,
+				Tracer:    opts.Tracer,
 			}
 			if ctrl != nil {
 				plOpts.Backpressure = ctrl
@@ -738,29 +761,6 @@ func runLocal(p Program, opts Options) Report {
 			d := detector.New(cfg)
 			sink = d
 			collect = func(r *Report) { fillFastTrack(r, d.Stats(), d.Races(), d.Provs()) }
-		}
-		if opts.Budget > 0 {
-			smp := sampling.New(sink, opts.samplerOptions())
-			if ctrl != nil {
-				ctrl.Bind(smp)
-			}
-			sink = smp
-			inner := collect
-			collect = func(r *Report) {
-				inner(r)
-				r.Detector.SampledForwarded, r.Detector.SampledSkipped = smp.Counts()
-			}
-		}
-		if opts.Elide {
-			// Outermost: the filter sees the raw stream, so the sampler
-			// (and the transport) only pay for accesses that survived.
-			el := event.NewElider(sink, event.EliderOptions{Telemetry: opts.Telemetry})
-			sink = el
-			inner := collect
-			collect = func(r *Report) {
-				inner(r)
-				r.Detector.Elided = el.Elided()
-			}
 		}
 	case DJITPlus:
 		d := djit.New(djit.Options{Granule: 1})
@@ -827,10 +827,15 @@ func runLocal(p Program, opts Options) Report {
 		panic(fmt.Sprintf("race: unknown tool %d", opts.Tool))
 	}
 
+	// Budget and Elide apply to FastTrack only (Validate), so the other
+	// tools get an empty front end.
+	sink, fill := opts.front(sink, ctrl)
+
 	start := time.Now()
-	endExec := opts.Tracer.Span("execute", map[string]any{"program": p.Name, "tool": opts.Tool.String()})
-	rep.Run = sim.Run(p, sink, simOpts)
+	endExec := opts.Tracer.Span("execute", map[string]any{"program": name, "tool": opts.Tool.String()})
+	run, err := src(sink)
 	endExec()
+	rep.Run = run
 	if drain != nil {
 		endDrain := opts.Tracer.Span("drain")
 		drain() // the timed window includes draining the detection workers
@@ -838,10 +843,14 @@ func runLocal(p Program, opts Options) Report {
 	}
 	rep.Elapsed = time.Since(start)
 	rep.TimedOut = rep.Run.TimedOut
+	if err != nil {
+		return rep, err
+	}
 	endCollect := opts.Tracer.Span("collect")
 	collect(&rep)
+	fill(&rep)
 	endCollect()
-	return rep
+	return rep, nil
 }
 
 // Baseline runs p uninstrumented (a no-op sink) and returns the program's

@@ -32,6 +32,26 @@ func startDetectd(t *testing.T, opts server.Options) string {
 	return l.Addr().String()
 }
 
+// assertSameReport compares the fields the acceptance gates care about:
+// access statistics and the exact race set.
+func assertSameReport(t *testing.T, name string, local, other Report) {
+	t.Helper()
+	if local.Run.Accesses != other.Run.Accesses {
+		t.Errorf("%s: Run.Accesses %d vs %d", name, local.Run.Accesses, other.Run.Accesses)
+	}
+	if local.Detector.Accesses != other.Detector.Accesses {
+		t.Errorf("%s: Detector.Accesses %d vs %d", name, local.Detector.Accesses, other.Detector.Accesses)
+	}
+	if local.Detector.SameEpoch != other.Detector.SameEpoch {
+		t.Errorf("%s: Detector.SameEpoch %d vs %d", name, local.Detector.SameEpoch, other.Detector.SameEpoch)
+	}
+	want, got := sortRaces(local.Races), sortRaces(other.Races)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: race sets differ\nlocal (%d): %v\nother (%d): %v",
+			name, len(want), want, len(got), got)
+	}
+}
+
 // TestRemoteEquivalence is the acceptance gate for the remote detection
 // service: for every workload and every granularity, streaming to a
 // loopback racedetectd must reproduce the in-process race set and access
@@ -48,52 +68,8 @@ func TestRemoteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: remote run: %v", spec.Name, g, err)
 			}
-
-			if local.Run.Accesses != remote.Run.Accesses {
-				t.Errorf("%s/%s: Run.Accesses %d (local) vs %d (remote)",
-					spec.Name, g, local.Run.Accesses, remote.Run.Accesses)
-			}
-			if local.Detector.Accesses != remote.Detector.Accesses {
-				t.Errorf("%s/%s: Detector.Accesses %d (local) vs %d (remote)",
-					spec.Name, g, local.Detector.Accesses, remote.Detector.Accesses)
-			}
-			if local.Detector.SameEpoch != remote.Detector.SameEpoch {
-				t.Errorf("%s/%s: Detector.SameEpoch %d (local) vs %d (remote)",
-					spec.Name, g, local.Detector.SameEpoch, remote.Detector.SameEpoch)
-			}
-			want, got := sortRaces(local.Races), sortRaces(remote.Races)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%s: race sets differ\nlocal (%d): %v\nremote (%d): %v",
-					spec.Name, g, len(want), want, len(got), got)
-			}
+			assertSameReport(t, spec.Name+"/"+g.String(), local, remote)
 		}
-	}
-}
-
-// TestRemoteSyncMode checks the strict-ordering fallback produces the same
-// report as the default asynchronous stream.
-func TestRemoteSyncMode(t *testing.T) {
-	addr := startDetectd(t, server.Options{})
-	spec, err := workloads.ByName("pbzip2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := Run(spec.Program(), Options{Granularity: Dynamic, Seed: 42})
-	remote, err := RunE(spec.Program(), Options{
-		Granularity: Dynamic, Seed: 42, Workers: 2,
-		Remote: addr, RemoteSync: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := sortRaces(local.Races), sortRaces(remote.Races)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("sync-mode race set differs:\nlocal (%d): %v\nremote (%d): %v",
-			len(want), want, len(got), got)
-	}
-	if local.Detector.Accesses != remote.Detector.Accesses {
-		t.Fatalf("Detector.Accesses %d (local) vs %d (remote sync)",
-			local.Detector.Accesses, remote.Detector.Accesses)
 	}
 }
 

@@ -64,8 +64,8 @@ func TestWireTelemetryReconciliation(t *testing.T) {
 }
 
 // TestRingTelemetry checks the worker queues register their occupancy and
-// park instrumentation (the pipeline_ring_* families) and the adaptive
-// policy exports a live batch target, on an ordinary local sharded run.
+// park instrumentation (the pipeline_ring_* families) on an ordinary local
+// sharded run.
 func TestRingTelemetry(t *testing.T) {
 	spec, err := workloads.ByName("ffmpeg")
 	if err != nil {
@@ -73,8 +73,7 @@ func TestRingTelemetry(t *testing.T) {
 	}
 	reg := telemetry.New()
 	if _, err := RunE(spec.Program(), Options{
-		Granularity: Dynamic, Seed: 42, Workers: 2,
-		BatchPolicy: "adaptive", Telemetry: reg,
+		Granularity: Dynamic, Seed: 42, Workers: 2, Telemetry: reg,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,6 @@ func TestRingTelemetry(t *testing.T) {
 	for _, want := range []string{
 		"pipeline_ring_parks_total",
 		"pipeline_ring_occupancy",
-		"pipeline_batch_target",
 	} {
 		if !families[want] {
 			t.Errorf("sharded run did not register %s", want)
@@ -99,8 +97,5 @@ func TestRingTelemetry(t *testing.T) {
 		if !parkSides[side] {
 			t.Errorf("pipeline_ring_parks_total missing side=%q series", side)
 		}
-	}
-	if target := reg.GaugeValue("pipeline_batch_target"); target < 64 || target > 2048 {
-		t.Errorf("pipeline_batch_target = %v, want within [64, 2048]", target)
 	}
 }
