@@ -60,12 +60,9 @@ type Options struct {
 	// Migration, when non-nil, schedules a single slot migration
 	// mid-stream (see migrate.go).
 	Migration *Migration
-	// Logf, when non-nil, receives coordinator diagnostics (legacy printf
-	// sink; superseded by Logger when both are set).
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives structured coordinator records with
-	// typed fields (member addr, slot counts, merge timings). When nil,
-	// records render onto Logf; when both are nil, logging is off.
+	// typed fields (member addr, slot counts, merge timings, migration
+	// outcomes). Nil turns logging off.
 	Logger *slog.Logger
 	// Telemetry, when non-nil, receives the cluster instrument families
 	// (cluster_members, cluster_fanout_events_total{member},
@@ -152,7 +149,7 @@ func Dial(opts Options) (*Sink, error) {
 	s.met = newMetrics(opts.Telemetry, nil)
 	s.log = opts.Logger
 	if s.log == nil {
-		s.log = telemetry.NewLogfLogger(opts.Logf)
+		s.log = telemetry.NewDiscardLogger()
 	}
 	for _, addr := range opts.Members {
 		cl, err := client.Dial(s.clientOptions(addr))
@@ -173,13 +170,6 @@ func Dial(opts Options) (*Sink, error) {
 	return s, nil
 }
 
-// logf is the legacy printf sink, still used by migration diagnostics.
-func (s *Sink) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
-}
-
 // clientOptions builds the per-member transport configuration.
 func (s *Sink) clientOptions(addr string) client.Options {
 	return client.Options{
@@ -188,7 +178,6 @@ func (s *Sink) clientOptions(addr string) client.Options {
 		Window:        s.opts.Window,
 		DialTimeout:   s.opts.DialTimeout,
 		ReportTimeout: s.opts.ReportTimeout,
-		Logf:          s.opts.Logf,
 		Telemetry:     s.opts.Telemetry,
 		TraceSample:   s.opts.TraceSample,
 		Tracer:        s.opts.Tracer,

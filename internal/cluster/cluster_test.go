@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,15 +285,53 @@ func TestMigrationMidStream(t *testing.T) {
 	}
 }
 
+// recordLog is a slog.Handler that keeps every record it receives.
+type recordLog struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *recordLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordLog) WithGroup(string) slog.Handler            { return h }
+
+func (h *recordLog) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// find returns the attributes of the first record with message msg.
+func (h *recordLog) find(msg string) (map[string]string, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, r := range h.recs {
+		if r.Message != msg {
+			continue
+		}
+		attrs := map[string]string{}
+		r.Attrs(func(a slog.Attr) bool {
+			attrs[a.Key] = a.Value.String()
+			return true
+		})
+		return attrs, true
+	}
+	return nil, false
+}
+
 // TestMigrationAbortsOnDialFailure checks a dead target cannot hurt the
-// session: the ring keeps its owner and the stream completes normally.
+// session: the ring keeps its owner, the stream completes normally, and
+// the abort reaches the configured Logger.
 func TestMigrationAbortsOnDialFailure(t *testing.T) {
 	_, addrA := startServer(t, server.Options{})
 	_, addrB := startServer(t, server.Options{})
+	logged := &recordLog{}
 	s, err := Dial(Options{
 		Members:   []string{addrA, addrB},
 		Hello:     wire.Hello{Workers: 1},
 		Migration: &Migration{Slot: 0, To: "127.0.0.1:1", AfterEvents: 10},
+		Logger:    slog.New(logged),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,6 +350,13 @@ func TestMigrationAbortsOnDialFailure(t *testing.T) {
 	}
 	if s.movedSlot != -1 {
 		t.Fatalf("aborted migration recorded a move: slot %d", s.movedSlot)
+	}
+	attrs, ok := logged.find("cluster migration aborted")
+	if !ok {
+		t.Fatal("the aborted migration logged no abort record")
+	}
+	if attrs["step"] != "dial" || attrs["member"] != "127.0.0.1:1" || attrs["slot"] != "0" || attrs["err"] == "" {
+		t.Errorf("abort record attributes %v, want step=dial member=127.0.0.1:1 slot=0 and an error", attrs)
 	}
 }
 

@@ -87,13 +87,15 @@ func (s *Sink) maybeMigrate() {
 	// *MemberError at Close); migrating its slot would not rescue the
 	// other slots it owns, so abort.
 	if err := s.members[from].cl.Flush(); err != nil {
-		s.logf("cluster: migration aborted, drain of %s failed: %v", s.members[from].addr, err)
+		s.log.Warn("cluster migration aborted", "slot", slot, "step", "drain",
+			"member", s.members[from].addr, "err", err)
 		return
 	}
 	watermark := s.members[from].cl.LastAcked()
 	cl, err := client.Dial(s.clientOptions(s.mig.To))
 	if err != nil {
-		s.logf("cluster: migration aborted, dial %s failed: %v", s.mig.To, err)
+		s.log.Warn("cluster migration aborted", "slot", slot, "step", "dial",
+			"member", s.mig.To, "err", err)
 		return
 	}
 	replayed := 0
@@ -111,6 +113,7 @@ func (s *Sink) maybeMigrate() {
 	s.movedSlot, s.movedFrom = slot, from
 	s.journal = nil
 	s.met.migrations.Inc()
-	s.logf("cluster: slot %d migrated %s -> %s at watermark %d (%d of %d journal records replayed)",
-		slot, s.members[from].addr, s.mig.To, watermark, replayed, s.seq)
+	s.log.Info("cluster slot migrated", "slot", slot,
+		"from", s.members[from].addr, "to", s.mig.To, "watermark", watermark,
+		"replayed", replayed, "events", s.seq)
 }

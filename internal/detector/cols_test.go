@@ -10,8 +10,8 @@ import (
 )
 
 // colsStream builds a deterministic racy event stream with heavy run
-// structure: threads loop over a few granules between sync events, so the
-// columnar apply's run collapse actually fires.
+// structure: threads loop over a few granules between sync events, so
+// most repeats take the same-epoch fast path.
 func colsStream(n int, seed int64) *event.Cols {
 	rng := rand.New(rand.NewSource(seed))
 	c := &event.Cols{}
@@ -43,10 +43,9 @@ func colsStream(n int, seed int64) *event.Cols {
 	return c
 }
 
-// TestApplyColsMatchesRecordApply pins the run-collapsed columnar apply to
-// the record-at-a-time one: same races, same Stats (Accesses, SameEpoch,
-// NonShared) — the collapse may only change how repeats are counted in,
-// never what they count as.
+// TestApplyColsMatchesRecordApply pins the columnar apply to the
+// record-at-a-time one: same races, same Stats (Accesses, SameEpoch,
+// NonShared).
 func TestApplyColsMatchesRecordApply(t *testing.T) {
 	for _, g := range []Granularity{Byte, Word, Dynamic} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -72,9 +71,9 @@ func TestApplyColsMatchesRecordApply(t *testing.T) {
 	}
 }
 
-// TestApplyColsNonSharedRuns checks collapsed non-shared runs land in
-// Stats.NonShared, not Accesses/SameEpoch: the collapse must respect the
-// detector's first-line stack filter.
+// TestApplyColsNonSharedRuns checks a run of non-shared accesses lands in
+// Stats.NonShared, not Accesses/SameEpoch: the columnar apply must respect
+// the detector's first-line stack filter.
 func TestApplyColsNonSharedRuns(t *testing.T) {
 	c := &event.Cols{}
 	for i := 0; i < 5; i++ {
@@ -86,18 +85,6 @@ func TestApplyColsNonSharedRuns(t *testing.T) {
 	if st.NonShared != 5 || st.Accesses != 0 || st.SameEpoch != 0 {
 		t.Fatalf("non-shared run miscounted: acc=%d same=%d ns=%d, want 0/0/5",
 			st.Accesses, st.SameEpoch, st.NonShared)
-	}
-}
-
-// TestRepeatAccessCounts pins the repeat bookkeeping: n repeats of an
-// applied access count as n same-epoch-filtered accesses.
-func TestRepeatAccessCounts(t *testing.T) {
-	d := New(Config{Granularity: Dynamic})
-	d.Write(0, 0x1000, 8, 1)
-	d.RepeatAccess(7)
-	st := d.Stats()
-	if st.Accesses != 8 || st.SameEpoch != 7 {
-		t.Fatalf("acc=%d same=%d after 1 write + 7 repeats, want 8/7", st.Accesses, st.SameEpoch)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestNonSharedFilter(t *testing.T) {
 // TestStackAccessesPublish: stack accesses count toward the publication
 // interval like shared ones, so a stretch of them cannot leave
 // detector_nonshared_total behind its Stats twin until the run ends —
-// neither on the Sink path nor through a collapsed run of repeats.
+// neither on the Sink path nor through a columnar batch.
 func TestStackAccessesPublish(t *testing.T) {
 	m := NewMetrics(telemetry.New())
 	d := New(Config{Granularity: Dynamic, Metrics: m})
@@ -55,7 +55,7 @@ func TestStackAccessesPublish(t *testing.T) {
 	}
 	d.ApplyCols(c)
 	if got := m.NonShared.Load(); got != 3*publishEvery {
-		t.Fatalf("after a collapsed run of %d stack reads the counter reads %d, want %d",
+		t.Fatalf("after a columnar batch of %d stack reads the counter reads %d, want %d",
 			2*publishEvery, got, 3*publishEvery)
 	}
 }

@@ -142,15 +142,6 @@ func (f *flightRecorder) tick() {
 	}
 }
 
-// tickN advances the local event ordinal by n at once — the run-collapsed
-// batch apply accounts a whole run of same-epoch repeats with one call.
-// Like tick, a no-op once the pipeline supplies global sequence numbers.
-func (f *flightRecorder) tickN(n uint64) {
-	if !f.extSeq {
-		f.seq += n
-	}
-}
-
 // noteAccess records one post-filter access into the ring.
 func (f *flightRecorder) noteAccess(tid vc.TID, pc event.PC, lo, hi uint64) {
 	f.acc[f.accPos] = provAccessRec{tid: tid, pc: pc, lo: lo, hi: hi, seq: f.seq}

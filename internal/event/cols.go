@@ -1,11 +1,9 @@
 // Columnar batch transport: a structure-of-arrays view of one event
 // batch. The wire codec's v2 payloads are already columnar on the wire
-// (internal/wire AppendColumnar); Cols lets a decoded batch stay columnar
-// all the way to the detector — the server routes over the addr column
-// and ships column segments through the pipeline's worker queues without
-// ever materializing per-record Rec structs. Column-major apply also exposes
-// run structure (consecutive identical accesses) that the detector's
-// batch apply collapses into one shadow lookup plus a repeat count.
+// (internal/wire AppendColumnar), and the server decodes each frame into
+// a Cols. A one-worker session hands the whole Cols to its detection
+// worker (pipeline.TakeCols); every other batch is replayed record by
+// record into the pipeline's Sink methods through Apply.
 package event
 
 import (
@@ -36,9 +34,6 @@ type Cols struct {
 
 // Len returns the number of records in the batch.
 func (c *Cols) Len() int { return len(c.Ops) }
-
-// Full reports whether the batch reached the transport capacity.
-func (c *Cols) Full() bool { return len(c.Ops) >= DefaultBatchSize }
 
 // Reset truncates every column to length zero, keeping capacity.
 func (c *Cols) Reset() {
@@ -95,32 +90,18 @@ func (c *Cols) Rec(i int) Rec {
 	}
 }
 
-// Apply replays the batch into s in record order, using the columnar fast
-// path when s provides one, and returns the sequence number of the last
-// record applied (0 when the batch is empty).
+// Apply replays the batch into s in record order and returns the
+// sequence number of the last record applied (0 when the batch is empty).
 func (c *Cols) Apply(s Sink) uint64 {
 	n := c.Len()
 	if n == 0 {
 		return 0
-	}
-	if bs, ok := s.(BatchSink); ok {
-		bs.ApplyCols(c)
-		return c.Seqs[n-1]
 	}
 	for i := 0; i < n; i++ {
 		r := c.Rec(i)
 		ApplyRec(s, &r)
 	}
 	return c.Seqs[n-1]
-}
-
-// BatchSink is the columnar apply seam: a Sink that can consume a whole
-// column batch at once (vectorized routing in the pipeline, run-collapsed
-// shadow lookups in the detector) instead of one ApplyRec dispatch per
-// record. The records must be applied exactly as Cols.Apply's record-major
-// fallback would — BatchSink is a performance seam, never a semantic one.
-type BatchSink interface {
-	ApplyCols(c *Cols)
 }
 
 // colsPool recycles Cols like batchPool recycles Batches; gets/puts are

@@ -10,7 +10,7 @@ import (
 )
 
 // randRecs builds a deterministic mixed stream of accesses and sync events
-// with runs of repeated accesses (the shape the columnar lane optimizes).
+// with runs of repeated accesses, as tight loops produce.
 func randRecs(n int, seed int64) []Rec {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]Rec, 0, n)
@@ -89,9 +89,8 @@ func (l *opLog) Acquire(tid vc.TID, lk LockID) { l.add("acq %d %d", tid, lk) }
 func (l *opLog) Release(tid vc.TID, lk LockID) { l.add("rel %d %d", tid, lk) }
 func (l *opLog) Fork(p, c vc.TID)              { l.add("fork %d->%d", p, c) }
 
-// TestColsApplyMatchesRecordApply pins the fallback path of Cols.Apply:
-// for a sink without a columnar fast path it must produce the identical
-// call sequence as applying each materialized Rec in order.
+// TestColsApplyMatchesRecordApply pins Cols.Apply: it must produce the
+// identical call sequence as applying each materialized Rec in order.
 func TestColsApplyMatchesRecordApply(t *testing.T) {
 	recs := randRecs(500, 2)
 	c := &Cols{}
@@ -108,41 +107,6 @@ func TestColsApplyMatchesRecordApply(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.log, got.log) {
 		t.Fatalf("columnar apply diverged from record apply:\nwant %v\ngot  %v", want.log, got.log)
-	}
-}
-
-// colsSink proves Cols.Apply prefers the BatchSink seam when offered one.
-type colsSink struct {
-	opLog
-	batches int
-}
-
-func (s *colsSink) ApplyCols(c *Cols) {
-	s.batches++
-	n := c.Len()
-	for i := 0; i < n; i++ {
-		r := c.Rec(i)
-		ApplyRec(&s.opLog, &r)
-	}
-}
-
-func TestColsApplyUsesBatchSink(t *testing.T) {
-	recs := randRecs(100, 3)
-	c := &Cols{}
-	for _, r := range recs {
-		c.Append(r)
-	}
-	s := &colsSink{}
-	c.Apply(s)
-	if s.batches != 1 {
-		t.Fatalf("BatchSink.ApplyCols called %d times, want 1", s.batches)
-	}
-	var want opLog
-	for i := range recs {
-		ApplyRec(&want, &recs[i])
-	}
-	if !reflect.DeepEqual(want.log, s.opLog.log) {
-		t.Fatal("BatchSink path applied different records than record-major apply")
 	}
 }
 

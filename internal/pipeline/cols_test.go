@@ -23,12 +23,12 @@ func captureRecs(t *testing.T, prog sim.Program, seed int64) []event.Rec {
 	return recs
 }
 
-// TestApplyColsMatchesSink feeds one captured event stream into the
-// pipeline both ways — record-at-a-time through the Sink interface and in
-// columnar batches through ApplyCols — and requires identical results:
-// same race set, same access statistics, same event count. The columnar
-// ingress (block-split routing over the addr column, run-collapsed worker
-// apply) is a performance seam, never a semantic one.
+// TestApplyColsMatchesSink feeds one captured event stream into a
+// three-worker pipeline both ways — record-at-a-time through the Sink
+// interface and in columnar batches through TakeCols, whose multi-worker
+// routing fallback replays each batch into the Sink methods — and requires
+// identical results: same race set, same access statistics, same event
+// count.
 func TestApplyColsMatchesSink(t *testing.T) {
 	for _, name := range []string{"streamcluster", "canneal"} {
 		spec, err := workloads.ByName(name)
@@ -55,8 +55,7 @@ func TestApplyColsMatchesSink(t *testing.T) {
 				for _, r := range recs[lo:hi] {
 					c.Append(r)
 				}
-				col.ApplyCols(c)
-				event.PutCols(c)
+				col.TakeCols(c)
 			}
 			colRes := col.Wait()
 

@@ -79,12 +79,12 @@ func toCols(recs []event.Rec) *event.Cols {
 }
 
 // TestTakeColsMatchesRouting feeds one batch stream through a pipeline
-// three ways — TakeCols (hand-off where the batch allows it), ApplyCols
-// (per-record columnar routing) and the Sink methods (the record lane) —
-// with provenance off and on, and requires the identical Result: races,
-// provenance and every Stats field. TakeCols must also put every batch
-// back exactly once, whichever path it took. Two workers never hand off,
-// so that case pins TakeCols's routing fallback.
+// two ways — TakeCols (hand-off where the batch allows it) and the Sink
+// methods (the record lane) — with provenance off and on, and requires
+// the identical Result: races, provenance and every Stats field. TakeCols
+// must also put every batch back exactly once, whichever path it took.
+// Two workers never hand off, so that case pins TakeCols's routing
+// fallback.
 func TestTakeColsMatchesRouting(t *testing.T) {
 	stream := handOffStream()
 	for _, tc := range []struct {
@@ -104,17 +104,6 @@ func TestTakeColsMatchesRouting(t *testing.T) {
 		if len(want.Races) != 3 {
 			t.Fatalf("workers=%d provenance=%v: record lane reported %d races, want 3: %v",
 				workers, prov, len(want.Races), want.Races)
-		}
-
-		routed := New(Options{Workers: workers, Detector: cfg})
-		for _, b := range stream {
-			c := toCols(b)
-			routed.ApplyCols(c)
-			event.PutCols(c)
-		}
-		if got := routed.Wait(); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d provenance=%v: ApplyCols result differs from the record lane\ngot  %+v\nwant %+v",
-				workers, prov, got, want)
 		}
 
 		_, _, gets0, puts0 := event.PoolCounts()
@@ -145,8 +134,8 @@ func TestTakeColsRoutesOversizedBatch(t *testing.T) {
 		c.Append(event.Rec{Op: event.OpWrite, Tid: 0, Addr: 0x4000 + uint64(i)*8, Size: 8, Seq: uint64(i + 1)})
 	}
 	p.TakeCols(c)
-	if pc := p.pendingCols[0]; pc == nil || pc.Len() != 1 {
-		t.Fatalf("oversized batch was not routed: pending %v", pc)
+	if pb := p.pending[0]; pb == nil || len(pb.Recs) != 1 {
+		t.Fatalf("oversized batch was not routed: pending %v", pb)
 	}
 	if res := p.Wait(); res.Stats.Accesses != event.DefaultBatchSize+1 {
 		t.Fatalf("accesses = %d, want %d", res.Stats.Accesses, event.DefaultBatchSize+1)
@@ -166,7 +155,7 @@ func TestTakeColsHandOffZeroAlloc(t *testing.T) {
 	_, _, _, puts := event.PoolCounts()
 	take := func(recs []event.Rec) {
 		p.TakeCols(toCols(recs))
-		if p.pendingCols[0] != nil {
+		if p.pending[0] != nil {
 			t.Fatal("batch was routed record by record, not handed off")
 		}
 		// The worker puts the batch back once it has applied it.

@@ -18,10 +18,10 @@
 //     heap events are sequence-numbered and broadcast to every worker in
 //     stream order.
 //
-// Decoded columnar batches enter through ApplyCols, which routes them the
-// same way, or TakeCols, which also takes ownership: a one-worker
-// pipeline then ships the batch itself whenever routing would not change
-// it.
+// Decoded columnar batches enter through TakeCols: a one-worker pipeline
+// ships the batch itself to its worker whenever routing would not change
+// it, and every other batch is replayed record by record into the Sink
+// methods above.
 //
 // Each worker owns a shard-constructed detector.Detector holding the
 // shadow planes and epoch bitmaps of its block subset plus a full replica
@@ -124,7 +124,7 @@ type seqRace struct {
 }
 
 // item is one queued hand-off: exactly one of b (row-major record batch)
-// or c (columnar batch) is non-nil.
+// or c (a columnar batch handed off whole by TakeCols) is non-nil.
 type item struct {
 	b *event.Batch
 	c *event.Cols
@@ -224,26 +224,10 @@ func (w *worker) applyRecs(b *event.Batch) {
 	}
 }
 
-// applyCols replays a columnar batch with run-length collapse: each
-// maximal run of identical (tid, op, addr, size) accesses costs one full
-// detector application plus a RepeatAccess of the remainder. The router
-// already filtered non-shared accesses, so every access here is shared.
-// A collapsed repeat can never complete a race — the first application
-// marked the epoch bitmap, so repeats take the same-epoch fast path —
-// which is why checking for new races only after the run's first record
-// loses nothing.
+// applyCols replays a handed-off columnar batch record-at-a-time, like
+// applyRecs. TakeCols already filtered its non-shared accesses.
 func (w *worker) applyCols(c *event.Cols) {
-	n := c.Len()
-	for i := 0; i < n; {
-		op := c.Ops[i]
-		runEnd := i + 1
-		if op == event.OpRead || op == event.OpWrite {
-			tid, addr, size := c.Tids[i], c.Addrs[i], c.Sizes[i]
-			for runEnd < n && c.Ops[runEnd] == op && c.Tids[runEnd] == tid &&
-				c.Addrs[runEnd] == addr && c.Sizes[runEnd] == size {
-				runEnd++
-			}
-		}
+	for i, op := range c.Ops {
 		if w.provOn {
 			w.det.SetEventSeq(c.Seqs[i])
 		}
@@ -258,13 +242,6 @@ func (w *worker) applyCols(c *event.Cols) {
 			event.ApplyRec(w.det, &r)
 		}
 		w.tagRaces(before, c.Seqs[i])
-		if k := runEnd - i - 1; k > 0 {
-			if w.provOn {
-				w.det.SetEventSeq(c.Seqs[runEnd-1])
-			}
-			w.det.RepeatAccess(uint64(k))
-		}
-		i = runEnd
 	}
 }
 
@@ -292,14 +269,9 @@ func (w *worker) tagRaces(before int, seq uint64) {
 // workers and obtain the merged Result.
 type Pipeline struct {
 	workers []*worker
-	pending []*event.Batch // per-worker record batch being filled (Sink lane)
-	// pendingCols is the per-worker columnar batch being filled (the
-	// ApplyCols lane). Pushing to one lane ships the other lane's pending
-	// first, so at most one lane has a pending per worker at any time and
-	// stream order survives lane interleaving.
-	pendingCols []*event.Cols
-	obs         event.BackpressureObserver
-	wg          sync.WaitGroup
+	pending []*event.Batch // per-worker record batch being filled
+	obs     event.BackpressureObserver
+	wg      sync.WaitGroup
 
 	seq       uint64
 	events    uint64
@@ -341,10 +313,9 @@ func New(opts Options) *Pipeline {
 		depth = 8
 	}
 	p := &Pipeline{
-		workers:     make([]*worker, n),
-		pending:     make([]*event.Batch, n),
-		pendingCols: make([]*event.Cols, n),
-		obs:         opts.Backpressure,
+		workers: make([]*worker, n),
+		pending: make([]*event.Batch, n),
+		obs:     opts.Backpressure,
 	}
 	reg := opts.Telemetry
 	var consParks *telemetry.Counter
@@ -479,12 +450,6 @@ func (p *Pipeline) Occupancy() float64 {
 // push appends a record to worker w's pending batch, shipping the batch
 // once it is full.
 func (p *Pipeline) push(w int, r event.Rec) {
-	if c := p.pendingCols[w]; c != nil {
-		// Lane switch: ship the columnar pending first so the worker
-		// observes the stream in routing order.
-		p.ship(w, item{c: c})
-		p.pendingCols[w] = nil
-	}
 	b := p.pending[w]
 	if b == nil {
 		b = event.GetBatch()
@@ -494,25 +459,6 @@ func (p *Pipeline) push(w int, r event.Rec) {
 	if b.Full() {
 		p.ship(w, item{b: b})
 		p.pending[w] = nil
-	}
-}
-
-// pushCols appends a record to worker w's pending columnar batch —
-// push's twin for the ApplyCols lane.
-func (p *Pipeline) pushCols(w int, r event.Rec) {
-	if b := p.pending[w]; b != nil {
-		p.ship(w, item{b: b})
-		p.pending[w] = nil
-	}
-	c := p.pendingCols[w]
-	if c == nil {
-		c = event.GetCols()
-		p.pendingCols[w] = c
-	}
-	c.Append(r)
-	if c.Len() >= event.DefaultBatchSize {
-		p.ship(w, item{c: c})
-		p.pendingCols[w] = nil
 	}
 }
 
@@ -552,62 +498,20 @@ func (p *Pipeline) broadcast(r event.Rec) {
 	}
 }
 
-// ApplyCols implements event.BatchSink: it routes a decoded columnar
-// batch straight off its columns — shard selection reads only the addr
-// column, and routed segments accumulate in per-worker columnar pendings
-// — so v2 wire payloads flow from decode to the detection workers without
-// ever materializing per-record event.Rec structs. Routing semantics are
-// identical to the Sink methods: accesses split at shadow-block
-// boundaries to the owning worker, everything else is broadcast in
-// stream order. Must be called from the execution thread; the caller
-// keeps ownership of c.
-func (p *Pipeline) ApplyCols(c *event.Cols) {
-	n := c.Len()
-	nw := uint64(len(p.workers))
-	for i := 0; i < n; i++ {
-		op := c.Ops[i]
-		if op != event.OpRead && op != event.OpWrite {
-			p.broadcastCols(c, i)
-			continue
-		}
-		p.seq++
-		p.events++
-		addr := c.Addrs[i]
-		if event.NonShared(addr) {
-			p.nonshared++
-			continue
-		}
-		p.accesses++
-		tid, pc := c.Tids[i], c.PCs[i]
-		lo, hi := addr, addr+uint64(c.Sizes[i])
-		for lo < hi {
-			end := (lo | (shadow.BlockSize - 1)) + 1
-			if end > hi {
-				end = hi
-			}
-			w := int(lo >> shadow.BlockShift % nw)
-			p.pushCols(w, event.Rec{
-				Op: op, Tid: tid, Addr: lo, Size: uint32(end - lo), PC: pc, Seq: p.seq,
-			})
-			lo = end
-		}
-	}
-}
-
-// TakeCols routes c like ApplyCols but takes ownership of it: the caller
-// must not touch c afterwards. On a one-worker pipeline, routing a batch
-// whose shared accesses are all non-empty and inside one shadow block
-// changes nothing but the router's non-shared filter and the Seq column,
-// so both are applied in place and c itself ships to the worker, which
-// returns it to the pool after applying it. Every other batch — on a
-// multi-worker pipeline, holding an access that routing would drop or
-// split, or longer than a routed batch — is routed record by record and
-// returned to the pool here. The remote-detection server hands each
-// decoded frame to its session this way. Must be called from the
-// execution thread.
+// TakeCols routes a decoded columnar batch and takes ownership of it:
+// the caller must not touch c afterwards. On a one-worker pipeline,
+// routing a batch whose shared accesses are all non-empty and inside one
+// shadow block changes nothing but the router's non-shared filter and the
+// Seq column, so both are applied in place and c itself ships to the
+// worker, which returns it to the pool after applying it. Every other
+// batch — on a multi-worker pipeline, holding an access that routing
+// would drop or split, or longer than a routed batch — is replayed record
+// by record through the Sink methods and returned to the pool here. The
+// remote-detection server hands each decoded frame to its session this
+// way. Must be called from the execution thread.
 func (p *Pipeline) TakeCols(c *event.Cols) {
 	if len(p.workers) > 1 || !shipsWhole(c) {
-		p.ApplyCols(c)
+		c.Apply(p)
 		event.PutCols(c)
 		return
 	}
@@ -663,29 +567,11 @@ func shipsWhole(c *event.Cols) bool {
 	return true
 }
 
-// shipPending ships worker w's pending batch, if it has one. At most one
-// lane has a pending per worker (push and pushCols cross-ship), so this
-// cannot reorder the stream.
+// shipPending ships worker w's pending batch, if it has one.
 func (p *Pipeline) shipPending(w int) {
 	if b := p.pending[w]; b != nil {
 		p.ship(w, item{b: b})
 		p.pending[w] = nil
-	}
-	if c := p.pendingCols[w]; c != nil {
-		p.ship(w, item{c: c})
-		p.pendingCols[w] = nil
-	}
-}
-
-// broadcastCols re-sequences record i of a columnar batch and pushes it
-// to every worker's columnar pending.
-func (p *Pipeline) broadcastCols(c *event.Cols, i int) {
-	p.seq++
-	p.events++
-	r := c.Rec(i)
-	r.Seq = p.seq
-	for w := range p.workers {
-		p.pushCols(w, r)
 	}
 }
 

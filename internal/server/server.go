@@ -72,12 +72,9 @@ type Options struct {
 	// SessionLinger keeps a detached session resumable after its
 	// connection drops before aborting it (default 10s).
 	SessionLinger time.Duration
-	// Logf, when non-nil, receives one line per session lifecycle event
-	// (legacy printf sink; superseded by Logger when both are set).
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives structured session lifecycle records
-	// with typed fields (session id, granularity, workers, ...). When nil,
-	// records are rendered onto Logf; when both are nil, logging is off.
+	// with typed fields (session id, granularity, workers, ...). Nil turns
+	// logging off.
 	Logger *slog.Logger
 	// Telemetry, when non-nil, is the registry the server's racedetectd_*
 	// families and per-session (session-labeled) pipeline/detector families
@@ -271,7 +268,7 @@ func New(opts Options) *Server {
 	}
 	s.log = s.opts.Logger
 	if s.log == nil {
-		s.log = telemetry.NewLogfLogger(s.opts.Logf)
+		s.log = telemetry.NewDiscardLogger()
 	}
 	s.met = serverMetrics{
 		sessionsTotal:   s.reg.Counter("racedetectd_sessions_total", "Sessions ever opened."),

@@ -16,23 +16,19 @@ import (
 
 // DefaultHotpathBenchmarks is the hot-path lane's workload mix: three
 // locality-heavy streams where same-epoch repeats dominate (the shape the
-// elider and the run-collapsed columnar apply are built for), plus two
-// honest negatives — canneal's random access defeats the repeat cache and
-// fanin's sync density flushes it before any repeat survives.
+// elider is built for), plus two honest negatives — canneal's random
+// access defeats the repeat cache and fanin's sync density flushes it
+// before any repeat survives.
 var DefaultHotpathBenchmarks = []string{"streamcluster", "pbzip2", "x264", "canneal", "fanin"}
 
-// HotpathRow is one (program, elide, apply) cell of the hot-path matrix:
-// the captured event stream of the program, optionally filtered by the
-// front-line elider, applied to a fresh serial detector either
-// record-at-a-time or through the run-collapsed columnar batch path.
+// HotpathRow is one (program, elide) cell of the hot-path lane: the
+// captured event stream of the program, optionally filtered by the
+// front-line elider, applied record-at-a-time to a fresh serial detector.
 type HotpathRow struct {
 	Program string `json:"program"`
 	// Elide is whether the stream passed the front-line same-epoch filter
 	// before being applied (and before wire encoding).
 	Elide bool `json:"elide"`
-	// Apply is the detector ingestion path: "record" (one ApplyRec
-	// dispatch per event) or "columnar" (ApplyCols with run collapse).
-	Apply string `json:"apply"`
 	// Events is the original stream length; Elided is how many of its
 	// accesses the filter dropped; AppliedRecords is what reached the
 	// detector (Events - Elided).
@@ -47,8 +43,8 @@ type HotpathRow struct {
 	// would put on the wire.
 	WireBytes     uint64  `json:"wire_bytes"`
 	BytesPerEvent float64 `json:"bytes_per_event"`
-	// Races pins losslessness: identical across all four cells of a
-	// program or the bench itself fails.
+	// Races pins losslessness: identical across both cells of a program
+	// or the bench itself fails.
 	Races int `json:"races"`
 }
 
@@ -96,48 +92,22 @@ func wireBytes(recs []event.Rec) uint64 {
 	return total
 }
 
-// chunkCols pre-builds the stream's columnar batches at the transport
-// batch size, so the timed region measures only detector ingestion — a
-// real session receives its Cols already decoded from the wire.
-func chunkCols(recs []event.Rec) []*event.Cols {
-	var batches []*event.Cols
-	for lo := 0; lo < len(recs); lo += event.DefaultBatchSize {
-		hi := lo + event.DefaultBatchSize
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		c := &event.Cols{}
-		for _, r := range recs[lo:hi] {
-			c.Append(r)
-		}
-		batches = append(batches, c)
-	}
-	return batches
-}
-
-// applyStream feeds the stream to a fresh dynamic-granularity detector via
-// the chosen path and returns the apply wall time and the race count.
-// Exactly one of recs/batches is used.
-func applyStream(recs []event.Rec, batches []*event.Cols) (time.Duration, int) {
+// applyStream feeds the stream to a fresh dynamic-granularity detector
+// and returns the apply wall time and the race count.
+func applyStream(recs []event.Rec) (time.Duration, int) {
 	d := detector.New(detector.Config{Granularity: detector.Dynamic})
 	start := time.Now()
-	if batches != nil {
-		for _, c := range batches {
-			d.ApplyCols(c)
-		}
-	} else {
-		for i := range recs {
-			event.ApplyRec(d, &recs[i])
-		}
+	for i := range recs {
+		event.ApplyRec(d, &recs[i])
 	}
 	return time.Since(start), len(d.Races())
 }
 
-// HotpathBench measures the columnar hot path end to end: for each
-// workload it captures the event stream once, derives the elided variant,
-// and times both detector ingestion paths over both streams. Verdicts are
-// asserted identical across all four cells — a divergence is returned as
-// an error, never silently recorded.
+// HotpathBench measures the elided hot path end to end: for each workload
+// it captures the event stream once, derives the elided variant, and
+// times the detector over both streams. Verdicts are asserted identical
+// across both cells — a divergence is returned as an error, never
+// silently recorded.
 func (r *Runner) HotpathBench(names []string) ([]HotpathRow, error) {
 	if len(names) == 0 {
 		names = DefaultHotpathBenchmarks
@@ -160,50 +130,38 @@ func (r *Runner) HotpathBench(names []string) ([]HotpathRow, error) {
 		}
 		baseRaces := -1
 		for _, st := range streams {
-			bytes := wireBytes(st.recs)
-			cols := chunkCols(st.recs)
-			for _, columnar := range []bool{false, true} {
-				var best time.Duration
-				var races int
-				for run := 0; run < r.cfg.TimingRuns; run++ {
-					runtime.GC() // isolate timed runs from each other's garbage
-					batches := cols
-					if !columnar {
-						batches = nil
-					}
-					d, got := applyStream(st.recs, batches)
-					races = got
-					if run == 0 || d < best {
-						best = d
-					}
+			var best time.Duration
+			var races int
+			for run := 0; run < r.cfg.TimingRuns; run++ {
+				runtime.GC() // isolate timed runs from each other's garbage
+				d, got := applyStream(st.recs)
+				races = got
+				if run == 0 || d < best {
+					best = d
 				}
-				if baseRaces < 0 {
-					baseRaces = races
-				} else if races != baseRaces {
-					return nil, fmt.Errorf(
-						"hotpath: %s elide=%v apply=%v found %d races, baseline %d — hot path is not lossless",
-						name, st.elide, columnar, races, baseRaces)
-				}
-				apply := "record"
-				if columnar {
-					apply = "columnar"
-				}
-				row := HotpathRow{
-					Program:        name,
-					Elide:          st.elide,
-					Apply:          apply,
-					Events:         uint64(len(full)),
-					Elided:         st.elided,
-					AppliedRecords: uint64(len(st.recs)),
-					WireBytes:      bytes,
-					Races:          races,
-				}
-				if len(full) > 0 {
-					row.NsPerEvent = float64(best.Nanoseconds()) / float64(len(full))
-					row.BytesPerEvent = float64(bytes) / float64(len(full))
-				}
-				rows = append(rows, row)
 			}
+			if baseRaces < 0 {
+				baseRaces = races
+			} else if races != baseRaces {
+				return nil, fmt.Errorf(
+					"hotpath: %s elide=%v found %d races, baseline %d — hot path is not lossless",
+					name, st.elide, races, baseRaces)
+			}
+			bytes := wireBytes(st.recs)
+			row := HotpathRow{
+				Program:        name,
+				Elide:          st.elide,
+				Events:         uint64(len(full)),
+				Elided:         st.elided,
+				AppliedRecords: uint64(len(st.recs)),
+				WireBytes:      bytes,
+				Races:          races,
+			}
+			if len(full) > 0 {
+				row.NsPerEvent = float64(best.Nanoseconds()) / float64(len(full))
+				row.BytesPerEvent = float64(bytes) / float64(len(full))
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

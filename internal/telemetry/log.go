@@ -1,26 +1,13 @@
-// Structured-logging adapters. The server, cluster and daemons log through
-// log/slog with typed fields (session, member, slot, ...); these helpers
-// bridge slog onto the legacy printf-style Logf sinks the packages'
-// options (and their tests) already use, and provide an explicit discard
-// logger so call sites never need a nil check.
+// Structured logging. The server, cluster and daemons log through
+// log/slog with typed fields (session, member, slot, ...); an explicit
+// discard logger stands in when none is configured, so call sites never
+// need a nil check.
 package telemetry
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
-	"strings"
 )
-
-// NewLogfLogger returns a slog.Logger whose records are rendered as
-// logfmt-style lines ("msg key=value ...") into the given printf sink. A
-// nil logf yields the discard logger.
-func NewLogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	if logf == nil {
-		return NewDiscardLogger()
-	}
-	return slog.New(&logfHandler{logf: logf})
-}
 
 // NewDiscardLogger returns a logger that drops every record (all levels
 // disabled, so argument evaluation is skipped too).
@@ -32,78 +19,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-// logfHandler renders slog records into a printf sink. It implements only
-// what the detector's components need: attrs and groups become flat
-// key=value pairs; levels below Info are dropped (matching the legacy
-// sinks' verbosity).
-type logfHandler struct {
-	logf   func(format string, args ...any)
-	prefix string // accumulated group prefix ("grp.")
-	attrs  []prefixedAttr
-}
-
-// prefixedAttr is a WithAttrs-bound attribute with the group prefix that
-// was open when it was added (slog semantics: WithGroup qualifies only
-// attrs added after it).
-type prefixedAttr struct {
-	prefix string
-	attr   slog.Attr
-}
-
-func (h *logfHandler) Enabled(_ context.Context, l slog.Level) bool {
-	return l >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	for _, pa := range h.attrs {
-		appendAttr(&b, pa.prefix, pa.attr)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		appendAttr(&b, h.prefix, a)
-		return true
-	})
-	if r.Level >= slog.LevelWarn {
-		h.logf("%s: %s", strings.ToLower(r.Level.String()), b.String())
-	} else {
-		h.logf("%s", b.String())
-	}
-	return nil
-}
-
-func appendAttr(b *strings.Builder, prefix string, a slog.Attr) {
-	v := a.Value.Resolve()
-	if a.Key == "" && v.Kind() != slog.KindGroup {
-		return
-	}
-	if v.Kind() == slog.KindGroup {
-		p := prefix
-		if a.Key != "" {
-			p = prefix + a.Key + "."
-		}
-		for _, ga := range v.Group() {
-			appendAttr(b, p, ga)
-		}
-		return
-	}
-	fmt.Fprintf(b, " %s%s=%v", prefix, a.Key, v.Any())
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	n := &logfHandler{logf: h.logf, prefix: h.prefix}
-	n.attrs = append([]prefixedAttr(nil), h.attrs...)
-	for _, a := range attrs {
-		n.attrs = append(n.attrs, prefixedAttr{prefix: h.prefix, attr: a})
-	}
-	return n
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	n := &logfHandler{logf: h.logf, prefix: h.prefix + name + ".", attrs: h.attrs}
-	return n
-}

@@ -29,17 +29,21 @@ func NewTracer() *telemetry.Tracer { return telemetry.NewTracer() }
 // the progress ticker goroutine. stop is idempotent enough for the single
 // deferred call RunE makes.
 type observer struct {
-	reg  *telemetry.Registry
-	ln   net.Listener
-	quit chan struct{}
-	done chan struct{}
+	reg *telemetry.Registry
+	// streamed marks a Remote or Cluster run: its detectors count into the
+	// servers' registries, so the run's own registry holds only what the
+	// client sent.
+	streamed bool
+	ln       net.Listener
+	quit     chan struct{}
+	done     chan struct{}
 }
 
 // startObservability prepares the run's registry and starts the side-cars
 // requested by opts. It may upgrade opts.Telemetry from nil to a fresh
 // registry when an endpoint or progress report needs one.
 func startObservability(opts *Options) (*observer, error) {
-	o := &observer{}
+	o := &observer{streamed: opts.Remote != "" || len(opts.Cluster) > 0}
 	if opts.Telemetry == nil && (opts.MetricsAddr != "" || opts.StatsInterval > 0) {
 		opts.Telemetry = telemetry.New()
 	}
@@ -83,17 +87,21 @@ func (o *observer) progress(w io.Writer, interval time.Duration) {
 }
 
 // progressLine renders the one-line progress report. Split out for tests.
+// A streamed run reports only the client's counters: the detector counts
+// live in the servers.
 func (o *observer) progressLine(elapsed time.Duration) string {
 	r := o.reg
-	accesses := r.CounterValue("detector_accesses_total")
-	same := r.CounterValue("detector_same_epoch_hits_total")
-	races := r.CounterValue("detector_races_total")
-	line := fmt.Sprintf("progress t=%.1fs accesses=%d same_epoch=%d races=%d",
-		elapsed.Seconds(), accesses, same, races)
+	line := fmt.Sprintf("progress t=%.1fs", elapsed.Seconds())
+	if !o.streamed {
+		line += fmt.Sprintf(" accesses=%d same_epoch=%d races=%d",
+			r.CounterValue("detector_accesses_total"),
+			r.CounterValue("detector_same_epoch_hits_total"),
+			r.CounterValue("detector_races_total"))
+	}
 	if q := r.GaugeValue("pipeline_queue_depth"); q > 0 {
 		line += fmt.Sprintf(" queue=%d", int64(q))
 	}
-	if ev := r.CounterValue("client_events_total"); ev > 0 {
+	if ev := r.CounterValue("client_events_total"); ev > 0 || o.streamed {
 		line += fmt.Sprintf(" streamed=%d batches=%d", ev, r.CounterValue("client_batches_total"))
 	}
 	return line

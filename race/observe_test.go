@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/workloads"
 )
@@ -210,6 +211,40 @@ func TestProgressLine(t *testing.T) {
 	reg.Counter("client_batches_total", "").Add(3)
 	if line := o.progressLine(time.Second); !strings.Contains(line, "streamed=7 batches=3") {
 		t.Fatalf("streamed fields missing: %q", line)
+	}
+	// A Remote or Cluster run's detectors count into the servers'
+	// registries, so its line carries only the client's counters.
+	streamed := &observer{reg: reg, streamed: true}
+	if line, want := streamed.progressLine(2*time.Second), "progress t=2.0s streamed=7 batches=3"; line != want {
+		t.Fatalf("streamed progressLine = %q, want %q", line, want)
+	}
+}
+
+// TestStatsProgressRemote runs a loopback Remote session with a short
+// StatsInterval: its progress lines report what the client streamed and
+// no detector counters, which only the server holds.
+func TestStatsProgressRemote(t *testing.T) {
+	s, err := workloads.ByName("ffmpeg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf syncBuffer
+	_, err = RunE(s.Program(), Options{
+		Granularity:   Dynamic,
+		Seed:          42,
+		Remote:        startDetectd(t, server.Options{}),
+		StatsInterval: time.Millisecond,
+		StatsWriter:   &buf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "progress t=") || !strings.Contains(out, "streamed=") {
+		t.Fatalf("no streamed progress lines captured:\n%s", out)
+	}
+	if strings.Contains(out, "accesses=") {
+		t.Fatalf("a Remote run printed detector counters it cannot see:\n%s", out)
 	}
 }
 

@@ -258,7 +258,9 @@ type Options struct {
 	MetricsAddr string
 	// StatsInterval prints a one-line progress report (accesses,
 	// same-epoch hits, races, queue depth) to StatsWriter every interval.
-	// 0 disables; negative is rejected by Validate.
+	// A Remote or Cluster run reports the events and batches its client
+	// streamed instead: its detectors count in the servers. 0 disables;
+	// negative is rejected by Validate.
 	StatsInterval time.Duration
 	// StatsWriter receives the progress lines; nil means os.Stderr.
 	StatsWriter io.Writer
