@@ -13,7 +13,6 @@
 //	benchtables -mem-json BENCH_mem.json             # memory lane (allocs/op, shadow bytes)
 //	benchtables -cluster-json BENCH_cluster.json     # sharded-cluster scaling lane (N=1/2/4 members)
 //	benchtables -sampling-json BENCH_sampling.json   # budgeted-sampling lane (races-found-vs-rate curve)
-//	benchtables -hotpath-json BENCH_hotpath.json     # hot-path lane (elide on/off)
 //
 // Every number is measured in-process; nothing is replayed from files. See
 // EXPERIMENTS.md for the paper-vs-measured record.
@@ -68,11 +67,6 @@ func main() {
 			"write the budgeted-sampling lane (races-found-vs-rate curve per workload × budget) to this file (e.g. BENCH_sampling.json)")
 		samplingBudgets = flag.String("sampling-budgets", "",
 			"comma-separated budget fractions for -sampling-json (default 1,0.5,0.2,0.1,0.05,0.02,0.01)")
-
-		hotpathJSON = flag.String("hotpath-json", "",
-			"write the hot-path lane (detector ns/event and wire bytes, elide on/off) to this file (e.g. BENCH_hotpath.json)")
-		hotpathBench = flag.String("hotpath-bench", "",
-			"comma-separated workloads for -hotpath-json (default streamcluster,pbzip2,x264,canneal,fanin)")
 	)
 	flag.Parse()
 
@@ -210,28 +204,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *samplingJSON)
-		return
-	}
-
-	if *hotpathJSON != "" {
-		var names []string
-		if *hotpathBench != "" {
-			names = strings.Split(*hotpathBench, ",")
-		}
-		f, err := os.Create(*hotpathJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = r.WriteHotpathJSON(f, names)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *hotpathJSON)
 		return
 	}
 

@@ -11,7 +11,6 @@
 //	racedetect -bench ferret -workers 4   # sharded parallel detection
 //	racedetect -bench dedup -tool drd -mem-limit-mb 48
 //	racedetect -bench facesim -budget 5%   # always-on mode: 5% sampling budget
-//	racedetect -bench histogram -elide   # drop exact in-epoch repeats at the source (lossless)
 //	racedetect -bench x264 -remote localhost:7474   # stream to racedetectd
 //	racedetect -bench canneal -cluster host1:7474,host2:7474   # sharded detection cluster
 //	racedetect -bench ffmpeg -workers 4 -metrics-addr :7070 -stats-interval 1s
@@ -75,8 +74,6 @@ func main() {
 		verbose = flag.Bool("v", false, "print each race report")
 		budget  = flag.String("budget", "",
 			"always-on sampling budget as a percentage or fraction (e.g. 5% or 0.05; 100% is a byte-identical pass-through): sample accesses down to this share of detection work, adapting to back-pressure on -workers/-remote/-cluster runs (fasttrack only)")
-		elide = flag.Bool("elide", false,
-			"front-line same-epoch elision: drop exact in-epoch repeat accesses at the source, before transport (lossless — verdicts are byte-identical; fasttrack only)")
 		workers = flag.Int("workers", 0,
 			"sharded detection workers for fasttrack (0 = serial); needs GOMAXPROCS > workers for speedup")
 		remote = flag.String("remote", "",
@@ -123,7 +120,6 @@ func main() {
 		Workers: *workers, Remote: *remote,
 		StatsInterval: *statsInterval, MetricsAddr: *metricsAddr,
 		Provenance: *provenance, TraceSample: *traceSample,
-		Elide: *elide,
 	}
 	if *budget != "" {
 		b, err := parseBudget(*budget)
@@ -203,7 +199,7 @@ func main() {
 		}
 	}
 	fmt.Println()
-	fmt.Printf("accesses    %d shared accesses, %d heap ops\n",
+	fmt.Printf("accesses    %d accesses, %d heap ops\n",
 		rep.Run.Accesses, rep.Run.Mallocs+rep.Run.Frees)
 	fmt.Printf("base        %v, %.2f MB peak heap\n",
 		baseTime.Round(time.Microsecond), float64(baseStats.PeakHeapBytes)/(1<<20))
@@ -229,16 +225,6 @@ func main() {
 		fmt.Printf("sampling    budget %.1f%%, sampled fraction %.2f%% (%d forwarded / %d skipped, %d shed by server)\n",
 			100*opts.Budget, 100*d.SampledFraction(),
 			d.SampledForwarded, d.SampledSkipped, d.ShedRecords)
-	}
-	if opts.Elide {
-		d := rep.Detector
-		total := d.Accesses + d.Elided
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(d.Elided) / float64(total)
-		}
-		fmt.Printf("elision     %d of %d accesses elided at the source (%.2f%%)\n",
-			d.Elided, total, pct)
 	}
 	fmt.Printf("races       %d reported (%d suppressed by module rules)\n",
 		len(rep.Races), rep.Suppressed)

@@ -53,12 +53,6 @@ func main() {
 		logFormat   = flag.String("log-format", "text", "structured log output: text | json")
 		traceSample = flag.Float64("trace-sample", 1,
 			"distributed-tracing grant: 0 refuses every session's Hello.Trace (clients pick the actual sampling rate)")
-		shedHigh = flag.Float64("shed-high", 0,
-			"load shedding: start dropping hot-site access records when a session's worker-queue occupancy reaches this fraction (0 disables; sync is never shed)")
-		shedLow = flag.Float64("shed-low", 0,
-			"load shedding: stop once occupancy falls below this fraction (default half of -shed-high)")
-		shedHot = flag.Uint("shed-hot-site", 64,
-			"load shedding: accesses a code site must show before its records become sheddable")
 		provGrant = flag.Bool("provenance", true,
 			"grant race-provenance flight recorders to sessions that request them (-provenance=false refuses)")
 	)
@@ -88,9 +82,6 @@ func main() {
 		SessionLinger: *linger,
 		NoTrace:       *traceSample <= 0,
 		NoProvenance:  !*provGrant,
-		ShedHighWater: *shedHigh,
-		ShedLowWater:  *shedLow,
-		ShedHotSite:   uint32(*shedHot),
 	}
 	if !*quiet {
 		opts.Logger = logger

@@ -16,7 +16,6 @@
 //	tracereplay -replay ferret.trace -workers 4          # sharded detection
 //	tracereplay -replay ferret.trace -remote localhost:7474
 //	tracereplay -replay ferret.trace -budget 5%          # budgeted sampling lane
-//	tracereplay -replay ferret.trace -elide              # lossless same-epoch elision
 //	tracereplay -replay ferret.trace -cluster host1:7474,host2:7474
 //	tracereplay -replay ferret.trace -metrics-addr :7070 -stats-interval 1s
 //	tracereplay -record -bench ferret -out ferret.trace -trace-out phases.json
@@ -80,8 +79,6 @@ func main() {
 			"print a one-line allocator summary to stderr on exit")
 		budget = flag.String("budget", "",
 			`replay through the budgeted sampling lane at this access budget ("5%" or 0.05; fasttrack replays only)`)
-		elide = flag.Bool("elide", false,
-			"front-line same-epoch elision: drop exact in-epoch repeat accesses before detection/transport (lossless; fasttrack replays only)")
 	)
 	flag.Parse()
 	defer memReport(*memprofile, *memstats)
@@ -151,7 +148,7 @@ func main() {
 			Workers: *workers, Remote: *remote,
 			StatsInterval: *statsInterval, MetricsAddr: *metricsAddr,
 			Provenance: *provenance, TraceSample: *traceSample,
-			Elide: *elide, Tracer: tracer,
+			Tracer: tracer,
 		}
 		var ok bool
 		if opts.Tool, ok = tools[*tool]; !ok {
@@ -227,14 +224,6 @@ func printReport(rep race.Report, opts race.Options, verbose bool) {
 		fmt.Printf("sampling    budget %.1f%%, sampled fraction %.2f%% (%d forwarded / %d skipped, %d shed by server)\n",
 			100*opts.Budget, 100*d.SampledFraction(),
 			d.SampledForwarded, d.SampledSkipped, d.ShedRecords)
-	}
-	if opts.Elide {
-		total := d.Accesses + d.Elided
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(d.Elided) / float64(total)
-		}
-		fmt.Printf("elision     %d of %d accesses elided at the source (%.2f%%)\n", d.Elided, total, pct)
 	}
 	fmt.Printf("races       %d reported (%d suppressed by module rules)\n", len(rep.Races), rep.Suppressed)
 	if opts.Provenance {

@@ -67,7 +67,7 @@ func main() {
 		Seed:        1,
 	})
 
-	fmt.Printf("analyzed %d shared accesses from %d threads\n",
+	fmt.Printf("analyzed %d accesses from %d threads\n",
 		rep.Run.Accesses, rep.Run.Threads)
 	fmt.Printf("detector: %v (%v granularity), %v elapsed\n",
 		rep.Tool, rep.Granularity, rep.Elapsed.Round(1000))

@@ -358,7 +358,13 @@ func New(opts Options) *Pipeline {
 		reg.GaugeFunc("pipeline_queue_depth", "Batches queued to workers, not yet picked up.",
 			func() float64 { return float64(p.QueueDepth()) })
 		reg.GaugeFunc("pipeline_ring_occupancy", "Mean per-worker queue occupancy as a fraction of capacity (0 = drained, 1 = full).",
-			p.Occupancy)
+			func() float64 {
+				var frac float64
+				for _, w := range p.workers {
+					frac += float64(len(w.q)) / float64(cap(w.q))
+				}
+				return frac / float64(len(p.workers))
+			})
 		reg.GaugeFunc("pipeline_shard_imbalance", "Max/mean ratio of per-shard applied events (1 = perfectly balanced).",
 			p.shardImbalance)
 	}
@@ -434,17 +440,6 @@ func (p *Pipeline) QueueDepth() int {
 		depth += len(w.q)
 	}
 	return depth
-}
-
-// Occupancy returns the mean occupied fraction of the worker queues in
-// [0,1] — the back-pressure watermark the remote-detection server's load
-// shedder compares against. Safe to call concurrently with routing.
-func (p *Pipeline) Occupancy() float64 {
-	var frac float64
-	for _, w := range p.workers {
-		frac += float64(len(w.q)) / float64(cap(w.q))
-	}
-	return frac / float64(len(p.workers))
 }
 
 // push appends a record to worker w's pending batch, shipping the batch

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/detector"
-	"repro/internal/event"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -94,25 +93,6 @@ type Options struct {
 	// NoProvenance refuses Hello.Provenance: detectors run without the
 	// race-provenance flight recorder regardless of what clients request.
 	NoProvenance bool
-	// ShedHighWater enables load shedding: once a session's pipeline
-	// queue occupancy (mean occupied fraction of its worker queues, in
-	// [0,1]) reaches this watermark, the server drops memory-access
-	// records from hot code sites before they reach the pipeline, until
-	// occupancy falls back below ShedLowWater. Hot-site accesses carry
-	// the lowest marginal detection value (their first bursts were
-	// analyzed; unseen races hide in the cold tail), so they are shed
-	// first — and synchronization and heap records are never shed, so
-	// happens-before stays exact. Shed records are counted, not silent:
-	// sampling_shed_total and the session report's shed_records field.
-	// 0 disables shedding.
-	ShedHighWater float64
-	// ShedLowWater is the occupancy at which shedding stops (default
-	// half of ShedHighWater).
-	ShedLowWater float64
-	// ShedHotSite is how many accesses a code site must have shown this
-	// session before its records become sheddable (default 64) — the
-	// shedder's notion of "hot".
-	ShedHotSite uint32
 }
 
 func (o Options) withDefaults() Options {
@@ -139,14 +119,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SessionLinger <= 0 {
 		o.SessionLinger = 10 * time.Second
-	}
-	if o.ShedHighWater > 0 {
-		if o.ShedLowWater <= 0 || o.ShedLowWater > o.ShedHighWater {
-			o.ShedLowWater = o.ShedHighWater / 2
-		}
-		if o.ShedHotSite == 0 {
-			o.ShedHotSite = 64
-		}
 	}
 	return o
 }
@@ -183,14 +155,6 @@ type session struct {
 	// cache: the detection work is done and only the encoded Report frame
 	// remains to re-deliver. Such a session has no pipeline.
 	closedFrame []byte
-
-	// Load shedding (Options.ShedHighWater): heat counts each code
-	// site's accesses this session, shedding latches between the
-	// watermarks, and shed tallies dropped records for the session
-	// report. Only the owning connection touches them.
-	heat     map[event.PC]uint32
-	shedding bool
-	shed     uint64
 }
 
 // closedReport retains a closed session's encoded Report frame for
@@ -219,7 +183,6 @@ type serverMetrics struct {
 	racesTotal      *telemetry.Counter
 	bytesRead       *telemetry.Counter
 	framesRejected  *telemetry.Counter
-	shedRecords     *telemetry.Counter
 }
 
 // Server accepts wire-protocol connections and runs detection sessions.
@@ -278,7 +241,6 @@ func New(opts Options) *Server {
 		racesTotal:      s.reg.Counter("racedetectd_races_total", "Races reported by completed sessions."),
 		bytesRead:       s.reg.Counter("racedetectd_bytes_read_total", "Wire bytes ingested (headers and payloads)."),
 		framesRejected:  s.reg.Counter("racedetectd_frames_rejected_total", "Frames refused (bad magic, CRC, size, or protocol)."),
-		shedRecords:     s.reg.Counter("sampling_shed_total", "Access records shed under queue pressure before reaching a pipeline (sync is never shed)."),
 	}
 	s.reg.GaugeFunc("racedetectd_sessions_active", "Open detection sessions (attached or lingering).",
 		func() float64 { return float64(s.SessionCount()) })
@@ -300,44 +262,6 @@ func New(opts Options) *Server {
 // Registry returns the server's metric registry (never nil) — the same
 // registry the HTTP sidecar exposes.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
-// shedRecords implements the session's load shedder: it latches the
-// shedding state between the occupancy watermarks, tracks per-site heat,
-// and — while shedding — compacts c's columns in place, dropping read/write
-// records from sites hotter than ShedHotSite. Synchronization and heap
-// records always survive (dropping a sync edge would corrupt the
-// happens-before relation and invent races; dropping an access only
-// risks missing one), and every site keeps its first ShedHotSite
-// accesses, so the cold tail — where unseen races live — keeps full
-// coverage. Returns the number of records dropped.
-func (s *Server) shedRecords(sess *session, c *event.Cols) int {
-	occ := sess.pl.Occupancy()
-	if sess.shedding {
-		if occ < s.opts.ShedLowWater {
-			sess.shedding = false
-		}
-	} else if occ >= s.opts.ShedHighWater {
-		sess.shedding = true
-	}
-	if sess.heat == nil {
-		sess.heat = make(map[event.PC]uint32)
-	}
-	k := 0
-	for i, op := range c.Ops {
-		if op == event.OpRead || op == event.OpWrite {
-			h := sess.heat[c.PCs[i]] + 1
-			sess.heat[c.PCs[i]] = h
-			if sess.shedding && h > s.opts.ShedHotSite {
-				continue
-			}
-		}
-		c.Move(k, i)
-		k++
-	}
-	shed := c.Len() - k
-	c.Truncate(k)
-	return shed
-}
 
 // queueDepth sums the live sessions' pipeline queues.
 func (s *Server) queueDepth() int {
@@ -583,12 +507,6 @@ func (s *Server) dispatch(conn net.Conn, sess *session, h wire.Header, payload [
 		if err != nil {
 			return sess, out, &protoErr{wire.CodeProtocol, err.Error()}
 		}
-		if s.opts.ShedHighWater > 0 {
-			if shed := s.shedRecords(sess, c); shed > 0 {
-				sess.shed += uint64(shed)
-				s.met.shedRecords.Add(uint64(shed))
-			}
-		}
 		n := c.Len()
 		if trace != 0 {
 			// Continue the client's trace: a server.dispatch span parented
@@ -647,7 +565,6 @@ func (s *Server) dispatch(conn net.Conn, sess *session, h wire.Header, payload [
 		res := sess.pl.Wait() // idempotent: a retried Close reuses the merged result
 		rep := wire.FromResult(res)
 		rep.LastSeq = sess.lastSeq // drain watermark for cluster merge
-		rep.Stats.ShedRecords = sess.shed
 		out = out[:0]
 		out, merr := wire.AppendControlFrame(out, wire.Header{Type: wire.TypeReport, Session: sess.id, Seq: sess.lastSeq}, rep)
 		if merr != nil {

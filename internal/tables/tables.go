@@ -105,8 +105,8 @@ func optsKey(o race.Options) string {
 		o.Tool, o.Granularity, o.NoInitState, o.NoInitSharing,
 		o.WriteGuidedReads, o.ReshareInterval, o.MemLimitBytes, o.Timeout,
 		o.Workers, o.MaxEvents, o.Remote) +
-		fmt.Sprintf("/clus=%s/bud=%g/el=%v",
-			strings.Join(o.Cluster, ","), o.Budget, o.Elide)
+		fmt.Sprintf("/clus=%s/bud=%g",
+			strings.Join(o.Cluster, ","), o.Budget)
 }
 
 // bestDuration returns the minimum of ds: for a deterministic CPU-bound

@@ -108,6 +108,5 @@ func mergeStats(a, b ReportStats) ReportStats {
 	a.Merges += b.Merges
 	a.Splits += b.Splits
 	a.ShedRecords += b.ShedRecords
-	a.Elided += b.Elided
 	return a
 }

@@ -42,6 +42,7 @@ func randomReport(rng *rand.Rand, shard uint64) Report {
 		LocCreations:       uint64(rng.Intn(1 << 16)),
 		Merges:             uint64(rng.Intn(1 << 12)),
 		Splits:             uint64(rng.Intn(1 << 12)),
+		ShedRecords:        uint64(rng.Intn(1 << 12)),
 	}
 	return r
 }
@@ -131,6 +132,7 @@ func TestMergeStatsSumsExact(t *testing.T) {
 		{"LocCreations", m.Stats.LocCreations, sum(func(s ReportStats) uint64 { return s.LocCreations })},
 		{"Merges", m.Stats.Merges, sum(func(s ReportStats) uint64 { return s.Merges })},
 		{"Splits", m.Stats.Splits, sum(func(s ReportStats) uint64 { return s.Splits })},
+		{"ShedRecords", m.Stats.ShedRecords, sum(func(s ReportStats) uint64 { return s.ShedRecords })},
 	}
 	for _, c := range intChecks {
 		if c.got != c.want {

@@ -348,18 +348,13 @@ type ReportStats struct {
 	LocCreations       uint64  `json:"loc_creations"`
 	Merges             uint64  `json:"merges"`
 	Splits             uint64  `json:"splits"`
-	// ShedRecords counts access records the server dropped under queue
-	// pressure before they reached its pipeline (load shedding; sync is
-	// never shed). Absent means the server has no shedding — old servers
-	// interoperate.
+	// ShedRecords counts access records a daemon built with the
+	// since-removed load shedder dropped before its pipeline; a current
+	// daemon never sets it. It stays because such a daemon still speaks
+	// protocol version 2 and sends it, and the benchmark (bench/trace.go)
+	// reads it: removing it waits on a benchmark change, as
+	// detector.ApplyCols does.
 	ShedRecords uint64 `json:"shed_records,omitempty"`
-	// Elided counts accesses the client's front-line filter dropped as
-	// exact same-epoch repeats before they ever reached the wire; it is
-	// filled in client-side (the server never sees elided events), and
-	// rides ReportStats so merged and persisted reports keep coverage
-	// reconciliation exact: observed accesses = Accesses + Elided. Absent
-	// means no elision — old peers interoperate.
-	Elided uint64 `json:"elided,omitempty"`
 }
 
 // ErrorPayload is the body of a TypeError frame. Code is a stable,

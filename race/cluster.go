@@ -59,7 +59,7 @@ func runCluster(name string, src source, opts Options) (Report, error) {
 	if ctrl != nil {
 		// One controller absorbs the whole fleet's back-pressure signals
 		// (it is mutex-guarded); the sampler it steers fronts the fan-out
-		// sink, so shedding rate responds to the slowest member.
+		// sink, so the sampling rate responds to the slowest member.
 		clOpts.Backpressure = ctrl
 	}
 	cl, err := cluster.Dial(clOpts)

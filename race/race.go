@@ -202,28 +202,13 @@ type Options struct {
 	// can only miss races, never invent them) and sampling memory
 	// accesses so the run-wide forwarded fraction converges on the
 	// budget. On transports with back-pressure signals (pipeline worker
-	// queues, remote ack RTTs) a feedback controller additionally sheds
-	// rate under pressure and recovers toward the budget when it clears.
+	// queues, remote ack RTTs) a feedback controller additionally lowers
+	// the rate under pressure and recovers toward the budget when it clears.
 	// Budget 1 is a byte-identical pass-through; 0 disables the lane
 	// entirely. FastTrack only. Stats reports the achieved fraction
 	// (SampledForwarded / SampledSkipped), and telemetry exposes it as
 	// detector_sampled_fraction.
 	Budget float64
-
-	// Elide enables the front-line same-epoch filter: a per-thread
-	// direct-mapped cache of recently checked (granule, op) pairs fronting
-	// the transport, flushed on every synchronization, heap or Go-native
-	// event of the thread (internal/event.Elider). An access whose exact
-	// (addr, size) was already forwarded this epoch with a covering op is
-	// provably fated for the detector's same-epoch bitmap fast path, so it
-	// is dropped at the source — before serialization on Remote/Cluster
-	// runs, before routing on local ones. Lossless: verdicts are
-	// byte-identical with the filter on or off. Every elided access is
-	// counted (Stats.Elided, detector_elided_total), so
-	// Accesses + Elided equals the unfiltered access count exactly.
-	// FastTrack only. Composes with Budget: the filter runs outermost, so
-	// the sampler only sees accesses that survived elision.
-	Elide bool
 
 	// Provenance attaches an explanation record to every reported race:
 	// both conflicting accesses, the failing epoch/clock comparison, the
@@ -344,9 +329,6 @@ func (o Options) Validate() error {
 	if o.Budget > 0 && o.Tool != FastTrack {
 		return &OptionsError{"Budget", fmt.Sprintf("the sampling lane applies to the fasttrack tool only, not %v", o.Tool)}
 	}
-	if o.Elide && o.Tool != FastTrack {
-		return &OptionsError{"Elide", fmt.Sprintf("same-epoch elision applies to the fasttrack tool only, not %v", o.Tool)}
-	}
 	if o.Provenance && o.Tool != FastTrack {
 		return &OptionsError{"Provenance", fmt.Sprintf("race provenance applies to the fasttrack tool only, not %v", o.Tool)}
 	}
@@ -420,17 +402,15 @@ type Stats struct {
 	VCInterns                uint64
 
 	// Sampling lane (Options.Budget): accesses the sampler forwarded to
-	// the detector vs dropped, and access records the remote server shed
-	// under queue pressure before they reached its pipeline. All zero on
-	// unsampled runs and on the 100%-budget pass-through lane.
+	// the detector vs dropped. Both zero on unsampled runs and on the
+	// 100%-budget pass-through lane; below it their sum is Run.Accesses.
 	SampledForwarded uint64
 	SampledSkipped   uint64
-	ShedRecords      uint64
-
-	// Elided counts accesses the front-line filter (Options.Elide) dropped
-	// at the source as exact same-epoch repeats. Zero on unfiltered runs;
-	// Accesses + Elided is the unfiltered access count.
-	Elided uint64
+	// ShedRecords counts access records a remote daemon reported dropping
+	// before its pipeline (wire.ReportStats.ShedRecords). Only a daemon
+	// built with the since-removed load shedder sends it; it is zero
+	// against a current one.
+	ShedRecords uint64
 }
 
 // SampledFraction returns the fraction of observed accesses that reached
@@ -537,10 +517,8 @@ func (o Options) hello() wire.Hello {
 }
 
 // front wraps sink in the run's front end: the budgeted sampler (Budget),
-// bound to ctrl when the transport steers it, and outermost the
-// same-epoch filter (Elide), so the sampler and the transport only pay
-// for accesses that survived elision. fill copies the front end's counts
-// into a report whose detector statistics are already filled.
+// bound to ctrl when the transport steers it. fill copies the sampler's
+// counts into a report whose detector statistics are already filled.
 func (o Options) front(sink event.Sink, ctrl *sampling.Controller) (_ event.Sink, fill func(*Report)) {
 	var smp *sampling.Detector
 	if o.Budget > 0 {
@@ -550,17 +528,9 @@ func (o Options) front(sink event.Sink, ctrl *sampling.Controller) (_ event.Sink
 		}
 		sink = smp
 	}
-	var el *event.Elider
-	if o.Elide {
-		el = event.NewElider(sink, event.EliderOptions{Telemetry: o.Telemetry})
-		sink = el
-	}
 	return sink, func(r *Report) {
 		if smp != nil {
 			r.Detector.SampledForwarded, r.Detector.SampledSkipped = smp.Counts()
-		}
-		if el != nil {
-			r.Detector.Elided = el.Elided()
 		}
 	}
 }
@@ -829,8 +799,8 @@ func runLocal(name string, src source, opts Options) (Report, error) {
 		panic(fmt.Sprintf("race: unknown tool %d", opts.Tool))
 	}
 
-	// Budget and Elide apply to FastTrack only (Validate), so the other
-	// tools get an empty front end.
+	// Budget applies to FastTrack only (Validate), so the other tools get
+	// an empty front end.
 	sink, fill := opts.front(sink, ctrl)
 
 	start := time.Now()

@@ -1,12 +1,18 @@
 package race
 
 import (
+	"encoding/json"
+	"io"
 	"math"
+	"net"
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/server"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 	"repro/workloads"
 )
 
@@ -58,7 +64,9 @@ func TestSamplingEquivalenceFullBudget(t *testing.T) {
 // budgeted run: the report's Stats, the sampling_* telemetry counters and
 // the detector_sampled_fraction gauge must tell the same story, and on an
 // iterating workload (canneal amortizes its cold start) the achieved
-// fraction lands within the budget plus cold-burst slack.
+// fraction lands within the budget plus cold-burst slack. Below the 100%
+// budget the sampler decides every Read and Write, so its forwarded and
+// skipped counts add up to the program's access count exactly.
 func TestSamplingBudgetStats(t *testing.T) {
 	spec, err := workloads.ByName("canneal")
 	if err != nil {
@@ -72,6 +80,10 @@ func TestSamplingBudgetStats(t *testing.T) {
 	if st.SampledForwarded == 0 || st.SampledSkipped == 0 {
 		t.Fatalf("budgeted run did not sample: forwarded=%d skipped=%d",
 			st.SampledForwarded, st.SampledSkipped)
+	}
+	if got := st.SampledForwarded + st.SampledSkipped; got != rep.Run.Accesses {
+		t.Errorf("access conservation broken: forwarded %d + skipped %d = %d, want Run.Accesses %d",
+			st.SampledForwarded, st.SampledSkipped, got, rep.Run.Accesses)
 	}
 	if got := reg.CounterValue("sampling_forwarded_total"); got != st.SampledForwarded {
 		t.Errorf("sampling_forwarded_total %d, Stats.SampledForwarded %d", got, st.SampledForwarded)
@@ -147,31 +159,112 @@ func TestSamplingNeverInventsRacesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerSheddingCounted runs against a loopback server with the shed
-// watermark forced to trip and checks dropped records are visible on both
-// sides: the session report's ShedRecords and the server's
-// sampling_shed_total counter agree, and nothing disappears silently.
-func TestServerSheddingCounted(t *testing.T) {
-	reg := telemetry.New()
-	// Any nonzero queue occupancy latches the shedder, and every site is
-	// sheddable after a single access: maximal pressure behaviour.
-	addr := startDetectd(t, server.Options{
-		ShedHighWater: 1e-12, ShedHotSite: 1, Telemetry: reg,
+// startShedDaemon stands in for a racedetectd built with the server-side
+// load shedder, which is gone from this build but still speaks protocol
+// version 2: it relays every frame between client and a loopback server
+// and writes shed into the session report's "shed_records" field, as such
+// a daemon sends it.
+func startShedDaemon(t *testing.T, shed uint64) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		l.Close()
+		wg.Wait()
 	})
+	// Registered after the cleanup above, so it runs first: the server's
+	// shutdown ends any relay still open.
+	upstream := startDetectd(t, server.Options{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			down, err := l.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", upstream)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				io.Copy(up, down)
+				up.Close()
+			}()
+			go func() {
+				defer wg.Done()
+				defer down.Close()
+				rd := wire.NewReader(up, 0)
+				for {
+					h, payload, err := rd.ReadFrame()
+					if err != nil {
+						return
+					}
+					if h.Type == wire.TypeReport {
+						if payload, err = withShedRecords(payload, shed); err != nil {
+							return // the client's Close fails the run
+						}
+					}
+					if _, err := down.Write(wire.AppendFrame(nil, h, payload)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return l.Addr().String()
+}
+
+// withShedRecords sets stats.shed_records in a Report payload.
+func withShedRecords(payload []byte, shed uint64) ([]byte, error) {
+	var rep, stats map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &rep); err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(rep["stats"], &stats); err != nil {
+		return nil, err
+	}
+	stats["shed_records"] = json.RawMessage(strconv.FormatUint(shed, 10))
+	var err error
+	if rep["stats"], err = json.Marshal(stats); err != nil {
+		return nil, err
+	}
+	return json.Marshal(rep)
+}
+
+// TestDaemonShedRecordsReachReport pins the path the shed count of an
+// older daemon takes: a session report carrying shed_records must land in
+// Report.Detector.ShedRecords, and a cluster run must report the sum over
+// its members (wire.MergeReports). The relayed runs must still report the
+// in-process verdict.
+func TestDaemonShedRecordsReachReport(t *testing.T) {
 	spec, err := workloads.ByName("pbzip2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunE(spec.Program(), Options{
-		Granularity: Dynamic, Seed: 42, Workers: 1, Remote: addr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Detector.ShedRecords == 0 {
-		t.Skip("loopback pipeline drained faster than the wire; no pressure to shed")
-	}
-	if got := reg.CounterValue("sampling_shed_total"); got != rep.Detector.ShedRecords {
-		t.Errorf("sampling_shed_total %d, report ShedRecords %d", got, rep.Detector.ShedRecords)
+	local := Run(spec.Program(), Options{Granularity: Dynamic, Seed: 42})
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want uint64
+	}{
+		{"remote", Options{Remote: startShedDaemon(t, 7)}, 7},
+		{"cluster", Options{Cluster: []string{startShedDaemon(t, 5), startShedDaemon(t, 11)}}, 16},
+	} {
+		tc.opts.Granularity, tc.opts.Seed, tc.opts.Workers = Dynamic, 42, 2
+		rep, err := RunE(spec.Program(), tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.Detector.ShedRecords != tc.want {
+			t.Errorf("%s: Detector.ShedRecords %d, want %d", tc.name, rep.Detector.ShedRecords, tc.want)
+		}
+		assertSameReport(t, tc.name, local, rep)
 	}
 }
