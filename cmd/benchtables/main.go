@@ -1,4 +1,5 @@
-// Command benchtables regenerates the paper's evaluation tables (1–6) and
+// Command benchtables regenerates the paper's evaluation tables (1–6),
+// this repository's Table 7 (the Section VII extensions ablation) and the
 // figure demonstrations from live runs of the fourteen benchmark workloads.
 //
 // Usage:

@@ -3,6 +3,15 @@
 // face of the library, comparable to invoking the paper's PIN tool on one
 // program.
 //
+// It also records a run's event stream to a trace file (-record) and
+// analyzes a trace in place of a program run (-replay): the RecPlay-style
+// workflow of the paper's related work (Section VI), which analyzes one
+// execution under many detector configurations without re-running the
+// program. A replay takes a program run's detection, observability and
+// memory flags (not -scale, -seed or -timeout), reports what the live run
+// reports, and prints the same report without the access, baseline and
+// slowdown lines.
+//
 // Usage:
 //
 //	racedetect -list
@@ -16,11 +25,15 @@
 //	racedetect -bench ffmpeg -workers 4 -metrics-addr :7070 -stats-interval 1s
 //	racedetect -bench ferret -trace-out ferret-trace.json   # phase trace
 //	racedetect -bench dedup -memprofile dedup.pprof -memstats  # allocation forensics
+//	racedetect -bench ferret -record ferret.trace   # write the run's trace and exit
+//	racedetect -replay ferret.trace -tool drd       # analyze the recorded run
+//	racedetect -replay ferret.trace -remote localhost:7474
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,42 +42,28 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/race"
 	"repro/workloads"
 )
 
-// memReport writes the heap profile (if path is non-empty) and prints a
-// one-line allocator summary (if stats). Shared by racedetect and
-// tracereplay via copy: the two commands keep no common package.
-func memReport(path string, stats bool) {
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "racedetect:", err)
-			os.Exit(1)
-		}
-		runtime.GC() // flush recent allocations into the profile
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "racedetect:", err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "wrote heap profile to %s (inspect with: go tool pprof %s)\n", path, path)
+// tools and granularities map the -tool and -granularity values onto
+// race.Options.
+var (
+	tools = map[string]race.Tool{
+		"fasttrack": race.FastTrack, "djit": race.DJITPlus, "drd": race.DRD,
+		"inspector": race.InspectorXE, "eraser": race.Eraser,
 	}
-	if stats {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		fmt.Fprintf(os.Stderr,
-			"memstats    %d allocs, %.2f MB total, %.2f MB heap peak, %d GC cycles, %.2fms total pause\n",
-			m.Mallocs, float64(m.TotalAlloc)/(1<<20), float64(m.HeapSys)/(1<<20),
-			m.NumGC, float64(m.PauseTotalNs)/1e6)
+	granularities = map[string]race.Granularity{
+		"byte": race.Byte, "word": race.Word, "dynamic": race.Dynamic,
 	}
-}
+)
 
 func main() {
 	var (
 		list    = flag.Bool("list", false, "list available benchmarks")
 		bench   = flag.String("bench", "", "benchmark to run (see -list)")
+		record  = flag.String("record", "", "write the -bench run's event trace (at -scale and -seed) to this file and exit")
+		replay  = flag.String("replay", "", "analyze this recorded trace file in place of running -bench")
 		tool    = flag.String("tool", "fasttrack", "fasttrack | djit | drd | inspector | eraser")
 		gran    = flag.String("granularity", "dynamic", "byte | word | dynamic (fasttrack only)")
 		scale   = flag.Int("scale", 1, "workload scale factor")
@@ -108,11 +107,16 @@ func main() {
 		tw.Flush()
 		return
 	}
-	spec, err := workloads.ByName(*bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		fmt.Fprintln(os.Stderr, "use -list to see available benchmarks")
-		os.Exit(2)
+	var spec workloads.Spec
+	if *replay != "" {
+		if *bench != "" || *record != "" {
+			usageError("-replay stands in for -bench and does not combine with -bench or -record")
+		}
+	} else {
+		var err error
+		if spec, err = workloads.ByName(*bench); err != nil {
+			usageError(err.Error() + "\nuse -list to see available benchmarks")
+		}
 	}
 
 	opts := race.Options{
@@ -121,11 +125,17 @@ func main() {
 		StatsInterval: *statsInterval, MetricsAddr: *metricsAddr,
 		Provenance: *provenance, TraceSample: *traceSample,
 	}
+	var ok bool
+	if opts.Tool, ok = tools[*tool]; !ok {
+		usageError(fmt.Sprintf("unknown tool %q", *tool))
+	}
+	if opts.Granularity, ok = granularities[*gran]; !ok {
+		usageError(fmt.Sprintf("unknown granularity %q", *gran))
+	}
 	if *budget != "" {
 		b, err := parseBudget(*budget)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -budget %q: %v\n", *budget, err)
-			os.Exit(2)
+			usageError(fmt.Sprintf("bad -budget %q: %v", *budget, err))
 		}
 		opts.Budget = b
 	}
@@ -135,84 +145,110 @@ func main() {
 	if *traceOut != "" || *spanOut != "" {
 		opts.Tracer = race.NewTracer()
 	}
-	switch *tool {
-	case "fasttrack":
-		opts.Tool = race.FastTrack
-	case "djit":
-		opts.Tool = race.DJITPlus
-	case "drd":
-		opts.Tool = race.DRD
-	case "inspector":
-		opts.Tool = race.InspectorXE
-	case "eraser":
-		opts.Tool = race.Eraser
+
+	switch {
+	case *record != "":
+		var st race.RunStats
+		endRecord := opts.Tracer.Span("record", map[string]any{"bench": spec.Name})
+		err := writeFile(*record, func(w io.Writer) (err error) {
+			st, err = race.Record(w, spec.Build(*scale), *seed)
+			return err
+		})
+		endRecord()
+		if err != nil {
+			fatal(err)
+		}
+		info, err := os.Stat(*record)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("recorded %d events (%d accesses) to %s (%d bytes, %.2f B/event)\n",
+			st.Events, st.Accesses, *record, info.Size(), float64(info.Size())/float64(st.Events))
+
+	case *replay != "":
+		f, err := os.Open(*replay)
+		if err != nil {
+			fatal(err)
+		}
+		rep, err := race.Replay(*replay, f, opts)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("replay      %s\n", *replay)
+		printReport(rep, opts, nil, *verbose)
+
 	default:
-		fmt.Fprintf(os.Stderr, "unknown tool %q\n", *tool)
-		os.Exit(2)
-	}
-	switch *gran {
-	case "byte":
-		opts.Granularity = race.Byte
-	case "word":
-		opts.Granularity = race.Word
-	case "dynamic":
-		opts.Granularity = race.Dynamic
-	default:
-		fmt.Fprintf(os.Stderr, "unknown granularity %q\n", *gran)
-		os.Exit(2)
+		prog := spec.Build(*scale)
+		endBase := opts.Tracer.Span("baseline")
+		var base baseline
+		base.stats, base.time = race.Baseline(prog, *seed)
+		endBase()
+		rep, err := race.RunE(prog, opts)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("benchmark   %s (scale %d, %d threads)\n", spec.Name, *scale, rep.Run.Threads)
+		printReport(rep, opts, &base, *verbose)
 	}
 
-	prog := spec.Build(*scale)
-	endBase := opts.Tracer.Span("baseline")
-	baseStats, baseTime := race.Baseline(prog, *seed)
-	endBase()
-	rep, err := race.RunE(prog, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "racedetect:", err)
-		os.Exit(1)
-	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, opts.Tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "racedetect:", err)
-			os.Exit(1)
+		if err := writeFile(*traceOut, opts.Tracer.WriteJSON); err != nil {
+			fatal(err)
 		}
 	}
 	if *spanOut != "" {
-		if err := writeSpans(*spanOut, opts.Tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "racedetect:", err)
-			os.Exit(1)
+		if err := writeFile(*spanOut, opts.Tracer.WriteSpansJSON); err != nil {
+			fatal(err)
 		}
 	}
+	memReport(*memprofile, *memstats)
+}
 
-	fmt.Printf("benchmark   %s (scale %d, %d threads)\n", spec.Name, *scale, rep.Run.Threads)
+// baseline is the uninstrumented run of a live report's program, the
+// denominator of its slowdown.
+type baseline struct {
+	stats race.RunStats
+	time  time.Duration
+}
+
+// printReport prints a run's outcome after its first line. base is nil
+// for a replay, which has no program run: its report has no access,
+// baseline or slowdown lines, and its race lines (-v) equal the live
+// run's.
+func printReport(rep race.Report, opts race.Options, base *baseline, verbose bool) {
 	fmt.Printf("tool        %v", rep.Tool)
 	if rep.Tool == race.FastTrack {
 		fmt.Printf(" (%v granularity)", rep.Granularity)
-		if *workers > 0 {
-			fmt.Printf(", %d detection workers", *workers)
+		if opts.Workers > 0 {
+			fmt.Printf(", %d detection workers", opts.Workers)
 		}
-		if *remote != "" {
-			fmt.Printf(", remote %s", *remote)
+		if opts.Remote != "" {
+			fmt.Printf(", remote %s", opts.Remote)
 		}
 		if len(opts.Cluster) > 0 {
-			fmt.Printf(", cluster of %d (%s)", len(opts.Cluster), *clusterList)
+			fmt.Printf(", cluster of %d (%s)", len(opts.Cluster), strings.Join(opts.Cluster, ","))
 		}
 	}
 	fmt.Println()
-	fmt.Printf("accesses    %d accesses, %d heap ops\n",
-		rep.Run.Accesses, rep.Run.Mallocs+rep.Run.Frees)
-	fmt.Printf("base        %v, %.2f MB peak heap\n",
-		baseTime.Round(time.Microsecond), float64(baseStats.PeakHeapBytes)/(1<<20))
-	fmt.Printf("instrumented %v (slowdown %.2fx)\n",
-		rep.Elapsed.Round(time.Microsecond), float64(rep.Elapsed)/float64(baseTime))
+	if base != nil {
+		fmt.Printf("accesses    %d accesses, %d heap ops\n",
+			rep.Run.Accesses, rep.Run.Mallocs+rep.Run.Frees)
+		fmt.Printf("base        %v, %.2f MB peak heap\n",
+			base.time.Round(time.Microsecond), float64(base.stats.PeakHeapBytes)/(1<<20))
+		fmt.Printf("instrumented %v (slowdown %.2fx)\n",
+			rep.Elapsed.Round(time.Microsecond), float64(rep.Elapsed)/float64(base.time))
+	} else {
+		fmt.Printf("replayed    %v\n", rep.Elapsed.Round(time.Microsecond))
+	}
+	d := rep.Detector
 	if rep.Tool == race.FastTrack {
-		d := rep.Detector
 		fmt.Printf("memory      hash %.2f MB + clocks %.2f MB + bitmaps %.2f MB = %.2f MB peak\n",
 			mb(d.HashPeakBytes), mb(d.VCPeakBytes), mb(d.BitmapPeakBytes), mb(d.TotalPeakBytes))
 		fmt.Printf("clocks      %d peak vector clocks, avg sharing %.1f, same-epoch %.0f%%\n",
 			d.MaxVectorClocks, d.AvgSharing, d.SameEpochPct())
-	} else if rep.Detector.TotalPeakBytes > 0 {
-		fmt.Printf("memory      %.2f MB peak\n", mb(rep.Detector.TotalPeakBytes))
+	} else if d.TotalPeakBytes > 0 {
+		fmt.Printf("memory      %.2f MB peak\n", mb(d.TotalPeakBytes))
 	}
 	switch {
 	case rep.OOM:
@@ -221,14 +257,12 @@ func main() {
 		fmt.Println("result      ABORTED: wall-time budget exceeded")
 	}
 	if opts.Budget > 0 {
-		d := rep.Detector
-		fmt.Printf("sampling    budget %.1f%%, sampled fraction %.2f%% (%d forwarded / %d skipped, %d shed by server)\n",
-			100*opts.Budget, 100*d.SampledFraction(),
-			d.SampledForwarded, d.SampledSkipped, d.ShedRecords)
+		fmt.Printf("sampling    budget %.1f%%, sampled fraction %.2f%% (%d forwarded / %d skipped)\n",
+			100*opts.Budget, 100*d.SampledFraction(), d.SampledForwarded, d.SampledSkipped)
 	}
 	fmt.Printf("races       %d reported (%d suppressed by module rules)\n",
 		len(rep.Races), rep.Suppressed)
-	if *provenance {
+	if opts.Provenance {
 		explained := 0
 		for _, p := range rep.Provenance {
 			if p.Kind != "" {
@@ -237,7 +271,7 @@ func main() {
 		}
 		fmt.Printf("provenance  %d/%d races explained\n", explained, len(rep.Races))
 	}
-	if *verbose {
+	if verbose {
 		for i, x := range rep.Races {
 			fmt.Printf("  %v\n", x)
 			if i < len(rep.Provenance) && rep.Provenance[i].Kind != "" {
@@ -247,39 +281,50 @@ func main() {
 			}
 		}
 	}
-	memReport(*memprofile, *memstats)
 }
 
-// writeTrace dumps the run's phase trace as Chrome trace_event JSON
-// (open in chrome://tracing, Perfetto, or speedscope).
-func writeTrace(path string, tr *telemetry.Tracer) error {
+// writeFile creates path and fills it with write: a recorded trace, the
+// phase trace (open in chrome://tracing, Perfetto, or speedscope) or the
+// distributed span records (read back with `racectl spans`).
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// writeSpans dumps the run's distributed span records as a JSON span file
-// (read back with `racectl spans`).
-func writeSpans(path string, tr *telemetry.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteSpansJSON(f); err != nil {
+// memReport writes the heap profile (if path is non-empty) and prints a
+// one-line allocator summary (if stats).
+func memReport(path string, stats bool) {
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC() // flush recent allocations into the profile
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fmt.Fprintln(os.Stderr, "racedetect:", err)
+		}
 		f.Close()
-		return err
+		fmt.Fprintf(os.Stderr, "wrote heap profile to %s (inspect with: go tool pprof %s)\n", path, path)
 	}
-	return f.Close()
+	if stats {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		fmt.Fprintf(os.Stderr,
+			"memstats    %d allocs, %.2f MB total, %.2f MB heap peak, %d GC cycles, %.2fms total pause\n",
+			m.Mallocs, float64(m.TotalAlloc)/(1<<20), float64(m.HeapSys)/(1<<20),
+			m.NumGC, float64(m.PauseTotalNs)/1e6)
+	}
 }
 
 // parseBudget parses a sampling budget given as a percentage ("5%") or a
-// fraction ("0.05"). Shared by racedetect and tracereplay via copy.
+// fraction ("0.05").
 func parseBudget(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	if p, ok := strings.CutSuffix(s, "%"); ok {
@@ -287,6 +332,18 @@ func parseBudget(s string) (float64, error) {
 		return v / 100, err
 	}
 	return strconv.ParseFloat(s, 64)
+}
+
+// usageError reports a bad command line and exits 2.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "racedetect:", msg)
+	os.Exit(2)
+}
+
+// fatal reports a failed run and exits 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "racedetect:", err)
+	os.Exit(1)
 }
 
 func mb(b int64) float64 { return float64(b) / (1 << 20) }

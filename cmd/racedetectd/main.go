@@ -1,8 +1,9 @@
 // Command racedetectd is the remote detection service: a long-lived TCP
 // server that accepts wire-protocol event streams from instrumented
-// producers (race.Options.Remote, racedetect -remote, tracereplay
-// -remote), runs one sharded detection pipeline per session, and returns
-// each session's race report when the producer closes its stream.
+// producers (race.Options.Remote, racedetect -remote, including a
+// racedetect -replay of a recorded trace), runs one sharded detection
+// pipeline per session, and returns each session's race report when the
+// producer closes its stream.
 //
 // An HTTP sidecar exposes /healthz, /metrics (Prometheus text format:
 // sessions, batches, events, queue depth, races found, plus every live

@@ -17,6 +17,6 @@
 //
 //	go run ./examples/quickstart      # detect a race with the public API
 //	go run ./cmd/racedetect -list     # the benchmark suite
-//	go run ./cmd/benchtables          # regenerate Tables 1-6
+//	go run ./cmd/benchtables          # regenerate Tables 1-6 and this repo's Table 7
 //	go test ./... && go test -bench=. # the full test and bench suite
 package repro

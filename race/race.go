@@ -1,8 +1,9 @@
 // Package race is the public API of the reproduction: it runs a virtual
 // multithreaded program (built with the engine API re-exported here) under
 // one of five data race detectors and returns a unified report with the
-// detected races, timing, and the detector's memory breakdown. Replay
-// runs a recorded event stream through the same wiring.
+// detected races, timing, and the detector's memory breakdown. Record
+// writes a run's event stream to a trace file, and Replay runs one
+// through the same wiring.
 //
 // The detectors are the systems the paper builds or measures:
 //
@@ -65,8 +66,6 @@ type (
 	// Module tags the origin of a code site (application, libc, ld,
 	// pthread) for suppression rules.
 	Module = event.Module
-	// Sink is the raw instrumentation-event consumer interface.
-	Sink = event.Sink
 )
 
 // Module tags, re-exported.
@@ -406,11 +405,6 @@ type Stats struct {
 	// 100%-budget pass-through lane; below it their sum is Run.Accesses.
 	SampledForwarded uint64
 	SampledSkipped   uint64
-	// ShedRecords counts access records a remote daemon reported dropping
-	// before its pipeline (wire.ReportStats.ShedRecords). Only a daemon
-	// built with the since-removed load shedder sends it; it is zero
-	// against a current one.
-	ShedRecords uint64
 }
 
 // SampledFraction returns the fraction of observed accesses that reached
@@ -591,19 +585,6 @@ func RunE(p Program, opts Options) (Report, error) {
 	return run(p.Name, programSource(p, opts), opts)
 }
 
-// Replay runs the event stream feed emits (a recorded trace, say) through
-// the topology opts selects: the same validation, observability
-// side-cars, front end, detectors and transports as RunE, so a replayed
-// stream yields the report of the live run it was recorded from. feed
-// emits the whole stream into the Sink it is handed and returns. The
-// engine options (Seed, Quantum, MaxEvents, Timeout) do not apply, and
-// Report.Run stays zero. An error from feed is returned after the
-// detection workers have drained or the Remote or Cluster session has
-// closed, so none of them outlives the call.
-func Replay(name string, feed func(Sink) error, opts Options) (Report, error) {
-	return run(name, func(s event.Sink) (RunStats, error) { return RunStats{}, feed(s) }, opts)
-}
-
 // source emits one run's event stream into the detection sink and returns
 // the analyzed program's own statistics.
 type source func(event.Sink) (RunStats, error)
@@ -687,7 +668,6 @@ func stream(rep Report, src source, opts Options, s session, ctrl *sampling.Cont
 		return rep, err
 	}
 	fillFastTrack(&rep, wrep.DetectorStats(), wrep.DetectorRaces(), wrep.DetectorProvs())
-	rep.Detector.ShedRecords = wrep.Stats.ShedRecords
 	fill(&rep)
 	return rep, nil
 }

@@ -1,18 +1,12 @@
 package race
 
 import (
-	"encoding/json"
-	"io"
 	"math"
-	"net"
 	"reflect"
-	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/server"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 	"repro/workloads"
 )
 
@@ -156,115 +150,5 @@ func TestSamplingNeverInventsRacesEndToEnd(t *testing.T) {
 		if rep.Detector.SampledForwarded == 0 {
 			t.Errorf("%s: remote budgeted run forwarded nothing", name)
 		}
-	}
-}
-
-// startShedDaemon stands in for a racedetectd built with the server-side
-// load shedder, which is gone from this build but still speaks protocol
-// version 2: it relays every frame between client and a loopback server
-// and writes shed into the session report's "shed_records" field, as such
-// a daemon sends it.
-func startShedDaemon(t *testing.T, shed uint64) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	t.Cleanup(func() {
-		l.Close()
-		wg.Wait()
-	})
-	// Registered after the cleanup above, so it runs first: the server's
-	// shutdown ends any relay still open.
-	upstream := startDetectd(t, server.Options{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			down, err := l.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", upstream)
-			if err != nil {
-				down.Close()
-				continue
-			}
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				io.Copy(up, down)
-				up.Close()
-			}()
-			go func() {
-				defer wg.Done()
-				defer down.Close()
-				rd := wire.NewReader(up, 0)
-				for {
-					h, payload, err := rd.ReadFrame()
-					if err != nil {
-						return
-					}
-					if h.Type == wire.TypeReport {
-						if payload, err = withShedRecords(payload, shed); err != nil {
-							return // the client's Close fails the run
-						}
-					}
-					if _, err := down.Write(wire.AppendFrame(nil, h, payload)); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return l.Addr().String()
-}
-
-// withShedRecords sets stats.shed_records in a Report payload.
-func withShedRecords(payload []byte, shed uint64) ([]byte, error) {
-	var rep, stats map[string]json.RawMessage
-	if err := json.Unmarshal(payload, &rep); err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(rep["stats"], &stats); err != nil {
-		return nil, err
-	}
-	stats["shed_records"] = json.RawMessage(strconv.FormatUint(shed, 10))
-	var err error
-	if rep["stats"], err = json.Marshal(stats); err != nil {
-		return nil, err
-	}
-	return json.Marshal(rep)
-}
-
-// TestDaemonShedRecordsReachReport pins the path the shed count of an
-// older daemon takes: a session report carrying shed_records must land in
-// Report.Detector.ShedRecords, and a cluster run must report the sum over
-// its members (wire.MergeReports). The relayed runs must still report the
-// in-process verdict.
-func TestDaemonShedRecordsReachReport(t *testing.T) {
-	spec, err := workloads.ByName("pbzip2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := Run(spec.Program(), Options{Granularity: Dynamic, Seed: 42})
-	for _, tc := range []struct {
-		name string
-		opts Options
-		want uint64
-	}{
-		{"remote", Options{Remote: startShedDaemon(t, 7)}, 7},
-		{"cluster", Options{Cluster: []string{startShedDaemon(t, 5), startShedDaemon(t, 11)}}, 16},
-	} {
-		tc.opts.Granularity, tc.opts.Seed, tc.opts.Workers = Dynamic, 42, 2
-		rep, err := RunE(spec.Program(), tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if rep.Detector.ShedRecords != tc.want {
-			t.Errorf("%s: Detector.ShedRecords %d, want %d", tc.name, rep.Detector.ShedRecords, tc.want)
-		}
-		assertSameReport(t, tc.name, local, rep)
 	}
 }
